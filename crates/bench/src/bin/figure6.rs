@@ -6,7 +6,8 @@
 //! kernel with the largest memory footprint and uses a kernel sampling
 //! period of 100. Overhead is the wall-clock ratio of the profiled run to
 //! the native run, averaged over `DRGPUM_RUNS` repetitions (default 5; the
-//! paper uses 10).
+//! paper uses 10). The mean native time, the ratios' denominator, is
+//! printed beside them.
 //!
 //! Run with `cargo run --release -p drgpum-bench --bin figure6`.
 
@@ -25,14 +26,14 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(5);
     println!("Figure 6: DrGPUM overhead (x native), {runs} runs per point\n");
-    let mut csv = String::from("platform,program,object_level,intra_object\n");
+    let mut csv = String::from("platform,program,native_ms,object_level,intra_object\n");
     for platform in [PlatformConfig::rtx3090(), PlatformConfig::a100()] {
         println!("platform: {}", platform.name);
         println!(
-            "{:<18} {:>12} {:>12}",
-            "Program", "object-level", "intra-object"
+            "{:<18} {:>10} {:>12} {:>12}",
+            "Program", "native ms", "object-level", "intra-object"
         );
-        println!("{}", "-".repeat(44));
+        println!("{}", "-".repeat(55));
         let mut obj_ratios = Vec::new();
         let mut intra_ratios = Vec::new();
         for spec in drgpum_workloads::all() {
@@ -69,24 +70,27 @@ fn main() {
             let intra_ratio = avg_secs(&intra) / native_s;
             obj_ratios.push(obj_ratio);
             intra_ratios.push(intra_ratio);
+            let native_ms = native_s * 1e3;
             println!(
-                "{:<18} {:>11.2}x {:>11.2}x",
-                spec.name, obj_ratio, intra_ratio
+                "{:<18} {:>10.3} {:>11.2}x {:>11.2}x",
+                spec.name, native_ms, obj_ratio, intra_ratio
             );
             csv.push_str(&format!(
-                "{},{},{obj_ratio:.4},{intra_ratio:.4}\n",
+                "{},{},{native_ms:.4},{obj_ratio:.4},{intra_ratio:.4}\n",
                 platform.name, spec.name
             ));
         }
         println!(
-            "{:<18} {:>11.2}x {:>11.2}x   (paper: 1.45x/1.30x and 3.55x/4.13x)",
+            "{:<18} {:>10} {:>11.2}x {:>11.2}x   (paper: 1.45x/1.30x and 3.55x/4.13x)",
             "median",
+            "",
             median(&mut obj_ratios.clone()),
             median(&mut intra_ratios.clone())
         );
         println!(
-            "{:<18} {:>11.2}x {:>11.2}x   (paper: 2.19x/2.28x and 3.66x/3.31x)\n",
+            "{:<18} {:>10} {:>11.2}x {:>11.2}x   (paper: 2.19x/2.28x and 3.66x/3.31x)\n",
             "geomean",
+            "",
             geomean(&obj_ratios),
             geomean(&intra_ratios)
         );

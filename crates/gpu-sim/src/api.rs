@@ -9,7 +9,7 @@ use crate::callstack::{CallPath, CallStack, SourceLoc};
 use crate::config::{PlatformConfig, SimConfig};
 use crate::error::{Result, SimError};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, InjectedFault, RetryPolicy};
-use crate::kernel::{Dim3, KernelCounters, KernelMem, LaunchConfig, ThreadCtx};
+use crate::kernel::{Dim3, KernelCounters, LaunchConfig, ThreadCtx};
 use crate::mem::{DeviceAllocator, DevicePtr, PagedStore};
 use crate::sanitizer::{AccessSink, KernelInfo, PatchMode, Sanitizer, SinkArena};
 use crate::stream::{EventId, SimTime, StreamId, StreamSet};
@@ -187,6 +187,12 @@ pub struct ContextStats {
     ///
     /// [`Sanitizer::set_coalescing`]: crate::Sanitizer::set_coalescing
     pub coalesced_records: u64,
+    /// Allocation searches ([`DeviceAllocator::find_containing`]) kernel
+    /// accesses needed after missing both the last-hit window and the
+    /// per-pc memo. A work counter for the cost of access validation: it is
+    /// deterministic for a given kernel worker count (every multi-worker
+    /// count gives the same value) and appears in no report or trace.
+    pub alloc_lookups: u64,
 }
 
 /// A simulated GPU device context — the top-level entry point of `gpu-sim`.
@@ -233,7 +239,7 @@ pub struct DeviceContext {
     /// Recycled collection storage (record buffers, staging arenas, the
     /// per-pc allocation memo) lent to each launch's sinks.
     sink_arena: SinkArena,
-    /// Worker threads for parallel block execution (1 = serial loop).
+    /// Worker threads for block execution (1 = the calling thread only).
     kernel_workers: usize,
     /// Wall-clock deadline applied to each kernel's block loop
     /// (see [`SimConfig::kernel_deadline_ms`]). `None` = unlimited.
@@ -270,6 +276,18 @@ fn env_kernel_deadline_ms() -> Option<u64> {
 /// into the future.
 const STREAM_STALL_NS: u64 = 1_000_000;
 
+/// Concatenates the little-endian encodings of `values`.
+fn to_le_bytes<T: Copy, const N: usize>(values: &[T], encode: fn(T) -> [u8; N]) -> Vec<u8> {
+    values.iter().flat_map(|&v| encode(v)).collect()
+}
+
+/// Decodes `bytes` into `out`, `N` little-endian bytes per value.
+fn from_le_bytes<T, const N: usize>(out: &mut [T], bytes: &[u8], decode: fn([u8; N]) -> T) {
+    for (slot, chunk) in out.iter_mut().zip(bytes.chunks_exact(N)) {
+        *slot = decode(chunk.try_into().expect("chunk size"));
+    }
+}
+
 impl fmt::Debug for DeviceContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DeviceContext")
@@ -305,11 +323,10 @@ impl DeviceContext {
             kernel_workers,
             kernel_deadline_ms,
         } = sim;
-        let alloc = DeviceAllocator::new(config.device_memory_bytes);
         DeviceContext {
+            mem: PagedStore::new(config.device_memory_bytes),
+            alloc: DeviceAllocator::new(config.device_memory_bytes),
             config,
-            mem: PagedStore::new(),
-            alloc,
             streams: StreamSet::new(),
             sanitizer: Sanitizer::new(),
             call_stack: CallStack::new(),
@@ -676,9 +693,8 @@ impl DeviceContext {
     /// managed allocation.
     pub fn managed_write_f32s(&mut self, dst: DevicePtr, values: &[f32]) -> Result<()> {
         self.host_touch(dst, values.len() as u64 * 4)?;
-        for (i, v) in values.iter().enumerate() {
-            self.mem.write_f32(dst + i as u64 * 4, *v);
-        }
+        self.mem
+            .write_bytes(dst, &to_le_bytes(values, f32::to_le_bytes));
         Ok(())
     }
 
@@ -690,9 +706,9 @@ impl DeviceContext {
     /// managed allocation.
     pub fn managed_read_f32s(&mut self, out: &mut [f32], src: DevicePtr) -> Result<()> {
         self.host_touch(src, out.len() as u64 * 4)?;
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.mem.read_f32(src + i as u64 * 4);
-        }
+        let mut bytes = vec![0u8; out.len() * 4];
+        self.mem.read_bytes(src, &mut bytes);
+        from_le_bytes(out, &bytes, f32::from_le_bytes);
         Ok(())
     }
 
@@ -886,11 +902,7 @@ impl DeviceContext {
     ///
     /// See [`DeviceContext::memcpy_h2d`].
     pub fn h2d_f32(&mut self, dst: DevicePtr, src: &[f32]) -> Result<()> {
-        let mut bytes = Vec::with_capacity(src.len() * 4);
-        for v in src {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.memcpy_h2d(dst, &bytes)
+        self.memcpy_h2d(dst, &to_le_bytes(src, f32::to_le_bytes))
     }
 
     /// Device→host copy into an `f32` slice.
@@ -901,9 +913,7 @@ impl DeviceContext {
     pub fn d2h_f32(&mut self, out: &mut [f32], src: DevicePtr) -> Result<()> {
         let mut bytes = vec![0u8; out.len() * 4];
         self.memcpy_d2h(&mut bytes, src)?;
-        for (i, chunk) in bytes.chunks_exact(4).enumerate() {
-            out[i] = f32::from_le_bytes(chunk.try_into().expect("chunk size"));
-        }
+        from_le_bytes(out, &bytes, f32::from_le_bytes);
         Ok(())
     }
 
@@ -913,11 +923,7 @@ impl DeviceContext {
     ///
     /// See [`DeviceContext::memcpy_h2d`].
     pub fn h2d_u32(&mut self, dst: DevicePtr, src: &[u32]) -> Result<()> {
-        let mut bytes = Vec::with_capacity(src.len() * 4);
-        for v in src {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.memcpy_h2d(dst, &bytes)
+        self.memcpy_h2d(dst, &to_le_bytes(src, u32::to_le_bytes))
     }
 
     /// Device→host copy into a `u32` slice.
@@ -928,9 +934,7 @@ impl DeviceContext {
     pub fn d2h_u32(&mut self, out: &mut [u32], src: DevicePtr) -> Result<()> {
         let mut bytes = vec![0u8; out.len() * 4];
         self.memcpy_d2h(&mut bytes, src)?;
-        for (i, chunk) in bytes.chunks_exact(4).enumerate() {
-            out[i] = u32::from_le_bytes(chunk.try_into().expect("chunk size"));
-        }
+        from_le_bytes(out, &bytes, u32::from_le_bytes);
         Ok(())
     }
 
@@ -1060,22 +1064,8 @@ impl DeviceContext {
             total_threads
         };
 
-        // The parallel path requires block-order-independent execution:
-        // an active fault plan (mid-kill thread prefixes, injected faults
-        // with per-call triggers) and unified-memory migration (ordered
-        // hook dispatch from inside threads) both depend on the serial
-        // schedule, so they force the serial loop, as do launches flagged
-        // `serial_only` (kernels with cross-block read-modify-write).
-        let parallel = self.kernel_workers > 1
-            && cfg.grid.count() > 1
-            && !cfg.serial_only
-            && self.fault.is_none()
-            && self.unified.region_count() == 0;
-        let (mut sink, counters, executed, deadline_hit) = if parallel {
-            self.run_blocks_parallel(&cfg, &info, mode, &body)
-        } else {
-            self.run_blocks_serial(&cfg, &info, mode, thread_budget, &body)
-        };
+        let (mut sink, counters, executed, deadline_hit) =
+            self.run_blocks(&cfg, &info, mode, thread_budget, &body);
         if injected_oob && sink.fault.is_none() {
             // Synthesize the access fault the plan asked for: one word just
             // past the end of device memory.
@@ -1091,6 +1081,7 @@ impl DeviceContext {
         let records = sink.records_seen;
         self.stats.instrumented_accesses += records;
         self.stats.coalesced_records += sink.coalesced_away;
+        self.stats.alloc_lookups += sink.alloc_lookups;
         self.stats.kernel_launches += 1;
 
         let duration = self.kernel_duration_ns(&cfg, &counters, mode, records);
@@ -1140,12 +1131,28 @@ impl DeviceContext {
         Ok(counters)
     }
 
-    /// The classic serial interpreter loop: every thread of every block in
-    /// flat block order, with per-block shared memory re-zeroed between
-    /// blocks. Returns the sink, the aggregate counters, and the number of
-    /// threads actually executed (short of the grid only under an injected
-    /// mid-kill's `thread_budget`).
-    fn run_blocks_serial<F>(
+    /// Executes the grid's blocks and returns the launch's serial-shaped
+    /// sink, the aggregate counters, the number of threads actually
+    /// executed (short of the grid only under an injected mid-kill's
+    /// `thread_budget`), and whether the watchdog deadline cut the grid
+    /// short.
+    ///
+    /// There is one block loop, [`BlockQueue::drain`]; what varies is who
+    /// runs it. On the serial schedule the calling thread drains every
+    /// block in flat order into the serial sink, with the sanitizer and
+    /// (when managed regions exist) the unified-memory manager at hand.
+    /// That schedule is forced by an active fault plan (mid-kill thread
+    /// prefixes and per-call triggers depend on it), unified-memory regions
+    /// (migration hooks dispatch from inside threads in a defined order),
+    /// `serial_only` launches (cross-block read-modify-write) and one-block
+    /// grids. Otherwise
+    /// `kernel_workers` scoped threads drain the queue into private
+    /// staging sinks, and [`AccessSink::merge_staged`] replays their
+    /// records in flat block order through the serial coalesce/flush
+    /// path, so every tool-visible byte (record buffers, flush boundaries,
+    /// touched-sets, counters, and therefore simulated timestamps) is
+    /// identical either way.
+    fn run_blocks<F>(
         &mut self,
         cfg: &LaunchConfig,
         info: &KernelInfo,
@@ -1154,69 +1161,73 @@ impl DeviceContext {
         body: &F,
     ) -> (AccessSink, KernelCounters, u64, bool)
     where
-        F: Fn(&mut ThreadCtx<'_>),
+        F: Fn(&mut ThreadCtx<'_>) + Sync,
     {
+        let serial_schedule =
+            cfg.serial_only || self.fault.is_some() || self.unified.region_count() > 0;
+        let workers = if serial_schedule {
+            1
+        } else {
+            let blocks = usize::try_from(cfg.grid.count()).unwrap_or(usize::MAX);
+            self.kernel_workers.min(blocks)
+        };
         let mut sink = self.serial_sink(mode);
+        let queue = BlockQueue {
+            cfg,
+            info,
+            mem: &self.mem,
+            alloc: &self.alloc,
+            body,
+            thread_budget,
+            deadline: self.kernel_deadline.map(|d| Instant::now() + d),
+            next_block: AtomicU64::new(0),
+            expired: AtomicBool::new(false),
+        };
+        if workers == 1 {
+            // Without managed regions no access can migrate a page, so the
+            // threads skip the residency lookup altogether.
+            let unified = (self.unified.region_count() > 0).then_some(&mut self.unified);
+            let (counters, executed) = queue.drain(&mut sink, Some(&self.sanitizer), unified);
+            return (sink, counters, executed, queue.expired.into_inner());
+        }
+        // Only fault-free launches get here, so the budget is the grid.
+        debug_assert_eq!(thread_budget, cfg.total_threads());
+        let recycle = self.sanitizer.pc_memo();
+        let staging: Vec<AccessSink> = (0..workers)
+            .map(|_| self.sink_arena.staging_sink(mode, recycle))
+            .collect();
+        let results: Vec<std::thread::Result<(AccessSink, KernelCounters, u64)>> =
+            std::thread::scope(|s| {
+                let queue = &queue;
+                let handles: Vec<_> = staging
+                    .into_iter()
+                    .map(|mut worker| {
+                        s.spawn(move || {
+                            let (counters, executed) = queue.drain(&mut worker, None, None);
+                            (worker, counters, executed)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            });
+        let mut worker_sinks = Vec::with_capacity(results.len());
         let mut counters = KernelCounters::default();
-        let mut shared = vec![0u8; cfg.shared_mem_bytes as usize];
         let mut executed: u64 = 0;
-        let mut first_block = true;
-        let deadline = self.kernel_deadline.map(|d| Instant::now() + d);
-        let mut deadline_hit = false;
-
-        let grid = cfg.grid;
-        let block = cfg.block;
-        'grid: for bz in 0..grid.z {
-            for by in 0..grid.y {
-                for bx in 0..grid.x {
-                    // Cooperative watchdog: checked between blocks, so a
-                    // runaway grid stops at the next block boundary with
-                    // partial results intact.
-                    if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                        deadline_hit = true;
-                        break 'grid;
-                    }
-                    let block_idx = Dim3::xyz(bx, by, bz);
-                    // The buffer is allocated zeroed; later blocks must not
-                    // see the previous block's scratch.
-                    if !first_block && !shared.is_empty() {
-                        shared.fill(0);
-                    }
-                    first_block = false;
-                    for tz in 0..block.z {
-                        for ty in 0..block.y {
-                            for tx in 0..block.x {
-                                if executed >= thread_budget {
-                                    break 'grid;
-                                }
-                                executed += 1;
-                                let thread_idx = Dim3::xyz(tx, ty, tz);
-                                let flat_thread = grid.flatten(block_idx) * block.count()
-                                    + block.flatten(thread_idx);
-                                let mut tctx = ThreadCtx {
-                                    mem: KernelMem::Exclusive(&mut self.mem),
-                                    alloc: &self.alloc,
-                                    sink: &mut sink,
-                                    sanitizer: Some(&self.sanitizer),
-                                    info,
-                                    unified: Some(&mut self.unified),
-                                    shared: &mut shared,
-                                    counters: &mut counters,
-                                    block_idx,
-                                    thread_idx,
-                                    grid_dim: grid,
-                                    block_dim: block,
-                                    flat_thread,
-                                    pc_counter: 0,
-                                };
-                                body(&mut tctx);
-                            }
-                        }
-                    }
+        for result in results {
+            match result {
+                Ok((worker, c, e)) => {
+                    counters.merge(&c);
+                    executed += e;
+                    worker_sinks.push(worker);
                 }
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        (sink, counters, executed, deadline_hit)
+        sink.merge_staged(&self.sanitizer, info, &worker_sinks);
+        for worker in worker_sinks {
+            self.sink_arena.reclaim(worker);
+        }
+        (sink, counters, executed, queue.expired.into_inner())
     }
 
     /// Builds the serial-shaped [`AccessSink`] for one kernel, applying any
@@ -1238,159 +1249,6 @@ impl DeviceContext {
             self.alloc.epoch(),
             self.sanitizer.pc_memo(),
         )
-    }
-
-    /// Executes the grid's blocks on a scoped worker pool and merges the
-    /// workers' staged observations back into one serial-shaped sink.
-    ///
-    /// Workers claim flat block indices from an atomic counter, so block
-    /// *assignment* is nondeterministic — but each worker stages raw
-    /// records per block and [`AccessSink::merge_staged`] replays them in
-    /// flat block-index order through the exact serial coalesce/flush
-    /// path, so every tool-visible byte (record buffers, flush boundaries,
-    /// touched-sets, counters, and therefore simulated timestamps) is
-    /// identical to the serial loop's.
-    ///
-    /// Only called for fault-free, unified-memory-free launches (see
-    /// [`DeviceContext::launch`]), so the thread budget is always the full
-    /// grid.
-    fn run_blocks_parallel<F>(
-        &mut self,
-        cfg: &LaunchConfig,
-        info: &KernelInfo,
-        mode: PatchMode,
-        body: &F,
-    ) -> (AccessSink, KernelCounters, u64, bool)
-    where
-        F: Fn(&mut ThreadCtx<'_>) + Sync,
-    {
-        let grid = cfg.grid;
-        let block = cfg.block;
-        let grid_blocks = grid.count();
-        let workers = self
-            .kernel_workers
-            .min(usize::try_from(grid_blocks).unwrap_or(usize::MAX));
-        // More shards than workers keeps the probability of two workers
-        // serializing on one fresh-page shard low.
-        let view = self.mem.split_shared(workers * 8);
-        let shared_bytes = cfg.shared_mem_bytes as usize;
-        let next_block = AtomicU64::new(0);
-        let deadline = self.kernel_deadline.map(|d| Instant::now() + d);
-        let expired = AtomicBool::new(false);
-
-        // Staging sinks reuse arenas returned by previous launches (unless
-        // the slow-path baseline is on); one is handed to each worker
-        // thread by value.
-        let recycle = self.sanitizer.pc_memo();
-        let mut staging: Vec<AccessSink> = (0..workers)
-            .map(|_| self.sink_arena.staging_sink(mode, recycle))
-            .collect();
-        let alloc = &self.alloc;
-
-        let results: Vec<std::thread::Result<(AccessSink, KernelCounters, u64)>> =
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let view = &view;
-                        let next_block = &next_block;
-                        let expired = &expired;
-                        let body = &body;
-                        let mut sink = staging.pop().expect("one staging sink per worker");
-                        s.spawn(move || {
-                            let mut counters = KernelCounters::default();
-                            let mut shared = vec![0u8; shared_bytes];
-                            let mut first_block = true;
-                            let mut executed: u64 = 0;
-                            loop {
-                                // Cooperative watchdog, checked before
-                                // claiming each block; once one worker sees
-                                // the deadline pass, every worker stops at
-                                // its next claim.
-                                if expired.load(Ordering::Relaxed)
-                                    || deadline.is_some_and(|dl| Instant::now() >= dl)
-                                {
-                                    expired.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                                let flat_block = next_block.fetch_add(1, Ordering::Relaxed);
-                                if flat_block >= grid_blocks {
-                                    break;
-                                }
-                                let gx = u64::from(grid.x);
-                                let gy = u64::from(grid.y);
-                                let block_idx = Dim3::xyz(
-                                    (flat_block % gx) as u32,
-                                    ((flat_block / gx) % gy) as u32,
-                                    (flat_block / (gx * gy)) as u32,
-                                );
-                                if !first_block && !shared.is_empty() {
-                                    shared.fill(0);
-                                }
-                                first_block = false;
-                                sink.begin_block(flat_block);
-                                for tz in 0..block.z {
-                                    for ty in 0..block.y {
-                                        for tx in 0..block.x {
-                                            let thread_idx = Dim3::xyz(tx, ty, tz);
-                                            let flat_thread = flat_block * block.count()
-                                                + block.flatten(thread_idx);
-                                            let mut tctx = ThreadCtx {
-                                                mem: KernelMem::Shared(view),
-                                                alloc,
-                                                sink: &mut sink,
-                                                sanitizer: None,
-                                                info,
-                                                unified: None,
-                                                shared: &mut shared,
-                                                counters: &mut counters,
-                                                block_idx,
-                                                thread_idx,
-                                                grid_dim: grid,
-                                                block_dim: block,
-                                                flat_thread,
-                                                pc_counter: 0,
-                                            };
-                                            body(&mut tctx);
-                                        }
-                                    }
-                                }
-                                sink.end_block();
-                                executed += block.count();
-                            }
-                            (sink, counters, executed)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-        // Re-absorb the pages before anything can unwind, so a worker
-        // panic cannot lose device memory.
-        self.mem.absorb_shared(view);
-
-        let mut worker_sinks = Vec::with_capacity(results.len());
-        let mut counters = KernelCounters::default();
-        let mut executed: u64 = 0;
-        let mut panic_payload = None;
-        for result in results {
-            match result {
-                Ok((sink, c, e)) => {
-                    counters.merge(&c);
-                    executed += e;
-                    worker_sinks.push(sink);
-                }
-                Err(p) => panic_payload = Some(p),
-            }
-        }
-        if let Some(p) = panic_payload {
-            std::panic::resume_unwind(p);
-        }
-        let mut sink = self.serial_sink(mode);
-        sink.merge_staged(&self.sanitizer, info, &worker_sinks);
-        for worker in worker_sinks {
-            self.sink_arena.reclaim(worker);
-        }
-        let deadline_hit = expired.load(Ordering::Relaxed);
-        (sink, counters, executed, deadline_hit)
     }
 
     /// Simulated kernel duration from the work counters plus the
@@ -1430,6 +1288,108 @@ impl DeviceContext {
     }
 }
 
+/// One launch's blocks, claimed by flat index from an atomic counter, with
+/// everything a thread needs that every executor shares read-only.
+struct BlockQueue<'a, F> {
+    cfg: &'a LaunchConfig,
+    info: &'a KernelInfo,
+    mem: &'a PagedStore,
+    alloc: &'a DeviceAllocator,
+    body: &'a F,
+    /// Threads the launch may run in total (the grid, or an injected
+    /// mid-kill's prefix, which only the serial schedule sees).
+    thread_budget: u64,
+    deadline: Option<Instant>,
+    next_block: AtomicU64,
+    /// Set once any executor sees the watchdog deadline pass.
+    expired: AtomicBool,
+}
+
+impl<F> BlockQueue<'_, F>
+where
+    F: Fn(&mut ThreadCtx<'_>) + Sync,
+{
+    /// Claims and runs blocks until the grid, the thread budget or the
+    /// deadline runs out. Threads of a block run x-fastest with the
+    /// block's shared memory zeroed; a staging sink brackets each block in
+    /// a span for the deterministic merge. Returns this executor's counters
+    /// and executed-thread count.
+    fn drain(
+        &self,
+        sink: &mut AccessSink,
+        sanitizer: Option<&Sanitizer>,
+        mut unified: Option<&mut UnifiedManager>,
+    ) -> (KernelCounters, u64) {
+        let (grid, block) = (self.cfg.grid, self.cfg.block);
+        let mut counters = KernelCounters::default();
+        let mut shared = vec![0u8; self.cfg.shared_mem_bytes as usize];
+        let mut executed: u64 = 0;
+        let staging = sink.is_staging();
+        'grid: loop {
+            // Cooperative watchdog, checked before claiming each block: a
+            // runaway grid stops at the next block boundary with partial
+            // results intact, and once one executor sees the deadline
+            // pass, every executor stops at its next claim.
+            if self.expired.load(Ordering::Relaxed)
+                || self.deadline.is_some_and(|dl| Instant::now() >= dl)
+            {
+                self.expired.store(true, Ordering::Relaxed);
+                break;
+            }
+            let flat_block = self.next_block.fetch_add(1, Ordering::Relaxed);
+            if flat_block >= grid.count() {
+                break;
+            }
+            let (gx, gy) = (u64::from(grid.x), u64::from(grid.y));
+            let block_idx = Dim3::xyz(
+                (flat_block % gx) as u32,
+                ((flat_block / gx) % gy) as u32,
+                (flat_block / (gx * gy)) as u32,
+            );
+            // The buffer is allocated zeroed; later blocks must not see
+            // the previous block's scratch.
+            if executed > 0 && !shared.is_empty() {
+                shared.fill(0);
+            }
+            if staging {
+                sink.begin_block(flat_block);
+            }
+            for tz in 0..block.z {
+                for ty in 0..block.y {
+                    for tx in 0..block.x {
+                        if executed >= self.thread_budget {
+                            break 'grid;
+                        }
+                        executed += 1;
+                        let thread_idx = Dim3::xyz(tx, ty, tz);
+                        let mut tctx = ThreadCtx {
+                            mem: self.mem,
+                            alloc: self.alloc,
+                            sink: &mut *sink,
+                            sanitizer,
+                            info: self.info,
+                            unified: unified.as_deref_mut(),
+                            shared: &mut shared,
+                            counters: &mut counters,
+                            block_idx,
+                            thread_idx,
+                            grid_dim: grid,
+                            block_dim: block,
+                            flat_thread: flat_block * block.count() + block.flatten(thread_idx),
+                            pc_counter: 0,
+                        };
+                        (self.body)(&mut tctx);
+                    }
+                }
+            }
+            if staging {
+                sink.end_block();
+            }
+        }
+        (counters, executed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1462,6 +1422,21 @@ mod tests {
         let mut out = [0u8; 64];
         ctx.memcpy_d2h(&mut out, p).unwrap();
         assert_eq!(out, [5u8; 64]);
+    }
+
+    #[test]
+    fn copying_untouched_memory_materializes_nothing() {
+        let mut ctx = DeviceContext::new_default();
+        let gib = 1 << 30;
+        let src = ctx.malloc(gib, "src").unwrap();
+        let dst = ctx.malloc(gib, "dst").unwrap();
+        ctx.memcpy_d2d(dst, src, gib).unwrap();
+        assert_eq!(ctx.memory().resident_pages(), 0);
+        // A resident destination page still receives the source's zeros.
+        ctx.memset(dst + gib / 2, 0xAB, 16).unwrap();
+        ctx.memcpy_d2d(dst, src, gib).unwrap();
+        assert_eq!(ctx.memory().resident_pages(), 1);
+        assert_eq!(ctx.memory().read_u64(dst + gib / 2), 0);
     }
 
     #[test]

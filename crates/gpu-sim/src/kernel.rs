@@ -6,92 +6,9 @@
 //! instruction — the simulated analogue of SASS patching.
 
 use crate::error::SimError;
-use crate::mem::paged::SharedPagedView;
 use crate::mem::{DeviceAllocator, DevicePtr, PagedStore};
 use crate::sanitizer::{AccessKind, AccessSink, KernelInfo, Sanitizer};
 use std::fmt;
-
-/// Global-memory backing a thread executes against: the exclusive store
-/// (serial launch path) or the concurrent page-sharded view (parallel
-/// launch path).
-pub(crate) enum KernelMem<'a> {
-    /// Serial execution owns the paged store outright.
-    Exclusive(&'a mut PagedStore),
-    /// Parallel workers share one interior-mutability view.
-    Shared(&'a SharedPagedView),
-}
-
-impl KernelMem<'_> {
-    fn read_bytes(&self, addr: DevicePtr, buf: &mut [u8]) {
-        match self {
-            KernelMem::Exclusive(store) => store.read_bytes(addr, buf),
-            KernelMem::Shared(view) => view.read_bytes(addr, buf),
-        }
-    }
-
-    fn write_bytes(&mut self, addr: DevicePtr, data: &[u8]) {
-        match self {
-            KernelMem::Exclusive(store) => store.write_bytes(addr, data),
-            KernelMem::Shared(view) => view.write_bytes(addr, data),
-        }
-    }
-
-    fn read_f32(&self, addr: DevicePtr) -> f32 {
-        match self {
-            KernelMem::Exclusive(store) => store.read_f32(addr),
-            KernelMem::Shared(view) => view.read_f32(addr),
-        }
-    }
-
-    fn write_f32(&mut self, addr: DevicePtr, v: f32) {
-        match self {
-            KernelMem::Exclusive(store) => store.write_f32(addr, v),
-            KernelMem::Shared(view) => view.write_f32(addr, v),
-        }
-    }
-
-    fn read_f64(&self, addr: DevicePtr) -> f64 {
-        match self {
-            KernelMem::Exclusive(store) => store.read_f64(addr),
-            KernelMem::Shared(view) => view.read_f64(addr),
-        }
-    }
-
-    fn write_f64(&mut self, addr: DevicePtr, v: f64) {
-        match self {
-            KernelMem::Exclusive(store) => store.write_f64(addr, v),
-            KernelMem::Shared(view) => view.write_f64(addr, v),
-        }
-    }
-
-    fn read_u32(&self, addr: DevicePtr) -> u32 {
-        match self {
-            KernelMem::Exclusive(store) => store.read_u32(addr),
-            KernelMem::Shared(view) => view.read_u32(addr),
-        }
-    }
-
-    fn write_u32(&mut self, addr: DevicePtr, v: u32) {
-        match self {
-            KernelMem::Exclusive(store) => store.write_u32(addr, v),
-            KernelMem::Shared(view) => view.write_u32(addr, v),
-        }
-    }
-
-    fn read_u64(&self, addr: DevicePtr) -> u64 {
-        match self {
-            KernelMem::Exclusive(store) => store.read_u64(addr),
-            KernelMem::Shared(view) => view.read_u64(addr),
-        }
-    }
-
-    fn write_u64(&mut self, addr: DevicePtr, v: u64) {
-        match self {
-            KernelMem::Exclusive(store) => store.write_u64(addr, v),
-            KernelMem::Shared(view) => view.write_u64(addr, v),
-        }
-    }
-}
 
 /// A three-dimensional launch extent or index, like CUDA's `dim3`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -283,16 +200,17 @@ impl KernelCounters {
 /// delivered to the instrumentation — the simulator's equivalent of a
 /// memory fault under `compute-sanitizer`, without aborting the host.
 pub struct ThreadCtx<'a> {
-    pub(crate) mem: KernelMem<'a>,
+    /// Device memory, shared by every worker of the launch.
+    pub(crate) mem: &'a PagedStore,
     pub(crate) alloc: &'a DeviceAllocator,
     pub(crate) sink: &'a mut AccessSink,
     /// `None` on parallel workers: a staging sink never dispatches to
     /// tools mid-kernel, and unified memory (the only other dispatch from
-    /// inside a thread) forces the serial path.
+    /// inside a thread) forces the serial schedule.
     pub(crate) sanitizer: Option<&'a Sanitizer>,
     pub(crate) info: &'a KernelInfo,
-    /// `None` on parallel workers: kernels touching unified memory fall
-    /// back to the serial path, so workers never migrate pages.
+    /// `None` on parallel workers: kernels touching unified memory run on
+    /// the serial schedule, so workers never migrate pages.
     pub(crate) unified: Option<&'a mut crate::unified::UnifiedManager>,
     pub(crate) shared: &'a mut [u8],
     pub(crate) counters: &'a mut KernelCounters,
@@ -338,8 +256,17 @@ impl ThreadCtx<'_> {
     /// Validates and records one access; returns `false` (and captures the
     /// fault) if it lies outside every live allocation, in which case the
     /// caller must skip the memory side effect.
+    ///
+    /// Validation and attribution share one allocation lookup: the sink's
+    /// cached window of the containing allocation (see
+    /// [`AccessSink::window`]), which stays valid because the live map
+    /// cannot change while the kernel runs.
     fn access(&mut self, addr: DevicePtr, size: u32, kind: AccessKind) -> bool {
-        if !self.alloc.is_valid_access(addr, u64::from(size)) {
+        let pc = self.pc_counter;
+        let window = self.sink.window(self.alloc, addr, pc);
+        let Some((alloc_start, _)) =
+            window.filter(|&(_, end)| addr.addr() + u64::from(size) <= end)
+        else {
             if self.sink.fault.is_none() {
                 self.sink.fault = Some(SimError::OutOfBounds {
                     addr,
@@ -347,12 +274,11 @@ impl ThreadCtx<'_> {
                 });
             }
             return false;
-        }
-        let pc = self.pc_counter;
+        };
         self.pc_counter += 1;
         // Unified memory: a device access to host-resident pages faults
         // them over (expensive; observed by the instrumentation). Absent on
-        // parallel workers — unified regions force the serial path.
+        // parallel workers — unified regions force the serial schedule.
         if let Some(unified) = self.unified.as_deref_mut() {
             for migration in
                 unified.ensure_resident(addr, u64::from(size), crate::unified::Side::Device)
@@ -369,7 +295,7 @@ impl ThreadCtx<'_> {
         }
         self.counters.global_bytes += u64::from(size);
         self.sink.note_access(
-            self.alloc,
+            alloc_start,
             self.sanitizer,
             self.info,
             addr,
@@ -381,86 +307,76 @@ impl ThreadCtx<'_> {
         true
     }
 
+    /// Reads `N` bytes of global memory as one access; a faulting load
+    /// reads zero.
+    fn load<const N: usize>(&mut self, addr: DevicePtr) -> [u8; N] {
+        if self.access(addr, N as u32, AccessKind::Read) {
+            self.mem.read_array(addr)
+        } else {
+            [0; N]
+        }
+    }
+
+    /// Writes `N` bytes of global memory as one access; a faulting store
+    /// is dropped.
+    fn store<const N: usize>(&mut self, addr: DevicePtr, bytes: [u8; N]) {
+        if self.access(addr, N as u32, AccessKind::Write) {
+            // SAFETY: with one executor nothing else touches device memory
+            // during the launch; with several, kernels must be race-free
+            // (the launch contract of DESIGN.md §9), so no other thread
+            // reads or writes these bytes concurrently.
+            unsafe { self.mem.store_bytes(addr, &bytes) };
+        }
+    }
+
     /// Reads an `f32` from global memory.
     pub fn load_f32(&mut self, addr: DevicePtr) -> f32 {
-        if self.access(addr, 4, AccessKind::Read) {
-            self.mem.read_f32(addr)
-        } else {
-            0.0
-        }
+        f32::from_le_bytes(self.load(addr))
     }
 
     /// Writes an `f32` to global memory.
     pub fn store_f32(&mut self, addr: DevicePtr, v: f32) {
-        if self.access(addr, 4, AccessKind::Write) {
-            self.mem.write_f32(addr, v);
-        }
+        self.store(addr, v.to_le_bytes());
     }
 
     /// Reads an `f64` from global memory.
     pub fn load_f64(&mut self, addr: DevicePtr) -> f64 {
-        if self.access(addr, 8, AccessKind::Read) {
-            self.mem.read_f64(addr)
-        } else {
-            0.0
-        }
+        f64::from_le_bytes(self.load(addr))
     }
 
     /// Writes an `f64` to global memory.
     pub fn store_f64(&mut self, addr: DevicePtr, v: f64) {
-        if self.access(addr, 8, AccessKind::Write) {
-            self.mem.write_f64(addr, v);
-        }
+        self.store(addr, v.to_le_bytes());
     }
 
     /// Reads a `u32` from global memory.
     pub fn load_u32(&mut self, addr: DevicePtr) -> u32 {
-        if self.access(addr, 4, AccessKind::Read) {
-            self.mem.read_u32(addr)
-        } else {
-            0
-        }
+        u32::from_le_bytes(self.load(addr))
     }
 
     /// Writes a `u32` to global memory.
     pub fn store_u32(&mut self, addr: DevicePtr, v: u32) {
-        if self.access(addr, 4, AccessKind::Write) {
-            self.mem.write_u32(addr, v);
-        }
+        self.store(addr, v.to_le_bytes());
     }
 
     /// Reads a `u64` from global memory.
     pub fn load_u64(&mut self, addr: DevicePtr) -> u64 {
-        if self.access(addr, 8, AccessKind::Read) {
-            self.mem.read_u64(addr)
-        } else {
-            0
-        }
+        u64::from_le_bytes(self.load(addr))
     }
 
     /// Writes a `u64` to global memory.
     pub fn store_u64(&mut self, addr: DevicePtr, v: u64) {
-        if self.access(addr, 8, AccessKind::Write) {
-            self.mem.write_u64(addr, v);
-        }
+        self.store(addr, v.to_le_bytes());
     }
 
     /// Reads a single byte from global memory.
     pub fn load_u8(&mut self, addr: DevicePtr) -> u8 {
-        if self.access(addr, 1, AccessKind::Read) {
-            let mut b = [0u8; 1];
-            self.mem.read_bytes(addr, &mut b);
-            b[0]
-        } else {
-            0
-        }
+        self.load::<1>(addr)[0]
     }
 
     /// Writes a single byte to global memory.
     pub fn store_u8(&mut self, addr: DevicePtr, v: u8) {
-        if self.access(addr, 1, AccessKind::Write) {
-            self.mem.write_bytes(addr, &[v]);
-        }
+        self.store(addr, [v]);
     }
 
     /// Records a shared-memory out-of-bounds access as a device fault

@@ -223,12 +223,12 @@ impl CandidateTable {
     }
 }
 
-/// Cached result of the last containing-allocation lookup, with a copy of
-/// that object's `touched` flags (kept in sync by [`AccessSink::note_access`]
-/// so repeat hits skip the `touched` map entirely).
+/// Cached window `[start, end)` of the last containing allocation, with a
+/// copy of that object's `touched` flags (kept in sync by
+/// [`AccessSink::note_access`] so repeat hits skip the `touched` list
+/// entirely). A flag copy may lag behind the list, never run ahead of it.
 #[derive(Debug, Clone, Copy)]
 struct LastHit {
-    base: DevicePtr,
     start: u64,
     end: u64,
     read: bool,
@@ -552,8 +552,7 @@ struct BlockSpan {
     fault: Option<SimError>,
 }
 
-/// Sentinel for "no containing allocation" in [`StagedArena::alloc_starts`]
-/// and for an empty slot in the per-pc allocation memo. No valid device
+/// Start of an empty slot in the per-pc allocation memo. No valid device
 /// address satisfies `addr >= u64::MAX`, so the containment checks reject
 /// it without a separate flag.
 const NO_ALLOC: u64 = u64::MAX;
@@ -574,8 +573,7 @@ pub(crate) struct StagedArena {
     kinds: Vec<AccessKind>,
     threads: Vec<u64>,
     pcs: Vec<u32>,
-    /// Containing allocation base per record; [`NO_ALLOC`] when the access
-    /// hit no live allocation.
+    /// Containing allocation base per record.
     alloc_starts: Vec<u64>,
     /// One span per executed block, in the worker's execution order.
     spans: Vec<BlockSpan>,
@@ -594,14 +592,14 @@ impl StagedArena {
         kind: AccessKind,
         flat_thread: u64,
         pc: u32,
-        alloc_start: Option<u64>,
+        alloc_start: u64,
     ) {
         self.addrs.push(addr.addr());
         self.sizes.push(size);
         self.kinds.push(kind);
         self.threads.push(flat_thread);
         self.pcs.push(pc);
-        self.alloc_starts.push(alloc_start.unwrap_or(NO_ALLOC));
+        self.alloc_starts.push(alloc_start);
     }
 
     fn clear(&mut self) {
@@ -707,14 +705,15 @@ impl SinkArena {
 
     /// Builds a worker-local staging sink for parallel block execution,
     /// reusing a previously returned arena when one is available (unless
-    /// `recycle` is off — the slow-path baseline allocates per launch).
-    /// Staging sinks never dispatch to tools; their records drain through
-    /// [`AccessSink::merge_staged`].
+    /// `recycle` is off — the slow-path baseline allocates per launch and
+    /// keeps no per-pc memo). Staging sinks never dispatch to tools; their
+    /// records drain through [`AccessSink::merge_staged`].
     pub(crate) fn staging_sink(&mut self, mode: PatchMode, recycle: bool) -> AccessSink {
         let mut sink = AccessSink::new(mode, 0, false, 1);
         // A staging sink never flushes mid-kernel.
         sink.capacity = usize::MAX;
         sink.staging = true;
+        sink.pc_memo = recycle;
         if recycle {
             sink.staged = self.staged.pop().unwrap_or_default();
             sink.recycled = true;
@@ -797,6 +796,9 @@ pub struct AccessSink {
     pub(crate) records_seen: u64,
     /// Number of raw accesses folded into a previous record by coalescing.
     pub(crate) coalesced_away: u64,
+    /// Allocation searches ([`DeviceAllocator::find_containing`]) made
+    /// after both `last_hit` and `pc_hints` missed.
+    pub(crate) alloc_lookups: u64,
     /// First device-side access fault observed during the kernel. Faulting
     /// accesses are skipped (no memory side effect); the launch converts
     /// this into [`SimError::KernelFaulted`] after the partial results have
@@ -840,6 +842,7 @@ impl AccessSink {
             flushes: 0,
             records_seen: 0,
             coalesced_away: 0,
+            alloc_lookups: 0,
             fault: None,
             staging: false,
             staged: StagedArena::default(),
@@ -852,9 +855,20 @@ impl AccessSink {
         self.mode
     }
 
+    /// Whether this is a worker-local staging sink.
+    pub(crate) fn is_staging(&self) -> bool {
+        self.staging
+    }
+
     /// Opens a staged span for the block with flat index `flat_block`.
+    ///
+    /// Each block starts from empty allocation caches, so the lookups it
+    /// makes — and with them [`crate::ContextStats::alloc_lookups`] — do
+    /// not depend on which worker ran the blocks before it.
     pub(crate) fn begin_block(&mut self, flat_block: u64) {
         debug_assert!(self.staging);
+        self.last_hit = None;
+        self.pc_hints.clear();
         let at = self.staged.len();
         self.staged.spans.push(BlockSpan {
             flat_block,
@@ -915,7 +929,6 @@ impl AccessSink {
                 self.fault.clone_from(&span.fault);
             }
             for i in span.start..span.end {
-                let alloc_start = st.alloc_starts[i];
                 self.push_full_record(
                     sanitizer,
                     info,
@@ -924,12 +937,13 @@ impl AccessSink {
                     st.kinds[i],
                     st.threads[i],
                     st.pcs[i],
-                    (alloc_start != NO_ALLOC).then_some(alloc_start),
+                    st.alloc_starts[i],
                 );
             }
         }
         for worker in workers {
             self.records_seen += worker.records_seen;
+            self.alloc_lookups += worker.alloc_lookups;
             for t in &worker.touched {
                 let entry = Self::touch_entry(&mut self.touched, t.base);
                 entry.read |= t.read;
@@ -960,16 +974,63 @@ impl AccessSink {
         }
     }
 
-    /// Resolves and stores one access. The containing object is looked up in
-    /// the live-allocation map (the Fig. 5 binary search) and its hit flag is
-    /// updated; in [`PatchMode::Full`] the record is also buffered and
-    /// streamed to the tools when the device-side buffer fills (serial
-    /// shape) or staged raw for later replay (staging shape, where
-    /// `sanitizer` may be `None`).
+    /// The window `[start, end)` of the live allocation containing `addr`,
+    /// or `None` if no allocation contains it — the Fig. 5 lookup, cached.
+    ///
+    /// Tries the last hit, then the window the instruction at `pc` saw
+    /// earlier (kernels that alternate between objects — pc 0 reads A,
+    /// pc 1 writes B — thrash the last hit, but every thread repeats the
+    /// same instruction sequence), and only then searches the allocator.
+    /// Containment makes every hit exact and a stale entry just falls
+    /// through; the live map cannot change while a kernel executes, so a
+    /// cached window never lies.
+    #[inline]
+    pub(crate) fn window(
+        &mut self,
+        alloc: &DeviceAllocator,
+        addr: DevicePtr,
+        pc: u32,
+    ) -> Option<(u64, u64)> {
+        let raw = addr.addr();
+        if let Some(h) = &self.last_hit {
+            if raw >= h.start && raw < h.end {
+                return Some((h.start, h.end));
+            }
+        }
+        let (start, end) = match self.pc_hints.get(pc as usize) {
+            Some(&(s, e)) if raw >= s && raw < e => (s, e),
+            _ => {
+                self.alloc_lookups += 1;
+                let obj = alloc.find_containing(addr)?;
+                let window = (obj.ptr.addr(), obj.ptr.addr() + obj.size);
+                if self.pc_memo && (pc as usize) < PC_MEMO_CAP {
+                    let i = pc as usize;
+                    if i >= self.pc_hints.len() {
+                        self.pc_hints.resize(i + 1, EMPTY_HINT);
+                    }
+                    self.pc_hints[i] = window;
+                }
+                window
+            }
+        };
+        self.last_hit = Some(LastHit {
+            start,
+            end,
+            read: false,
+            written: false,
+        });
+        Some((start, end))
+    }
+
+    /// Stores one access that [`AccessSink::window`] just resolved to the
+    /// allocation based at `alloc_start`: its hit flag is updated, and in
+    /// [`PatchMode::Full`] the record is also buffered and streamed to the
+    /// tools when the device-side buffer fills (serial shape) or staged raw
+    /// for later replay (staging shape, where `sanitizer` may be `None`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn note_access(
         &mut self,
-        alloc: &DeviceAllocator,
+        alloc_start: u64,
         sanitizer: Option<&Sanitizer>,
         info: &KernelInfo,
         addr: DevicePtr,
@@ -982,7 +1043,7 @@ impl AccessSink {
             return;
         }
         self.records_seen += 1;
-        let alloc_start = self.update_touched(alloc, addr, kind, pc);
+        self.update_touched(alloc_start, kind);
         if self.mode == PatchMode::Full {
             if self.staging {
                 self.staged
@@ -1003,81 +1064,32 @@ impl AccessSink {
         }
     }
 
-    /// Updates the touched-object hit flags for one access and returns the
-    /// containing allocation's base address, if any.
-    fn update_touched(
-        &mut self,
-        alloc: &DeviceAllocator,
-        addr: DevicePtr,
-        kind: AccessKind,
-        pc: u32,
-    ) -> Option<u64> {
-        // One-entry cache of the containing allocation. Access streams are
-        // bursty per object, so the Fig. 5 binary search and the touched-map
-        // update can usually be skipped. The live-allocation map cannot
-        // change while a kernel executes, so a cached range stays valid for
-        // the sink's lifetime.
-        let raw = addr.addr();
-        match &mut self.last_hit {
-            Some(h) if raw >= h.start && raw < h.end => {
-                let flag = match kind {
-                    AccessKind::Read => &mut h.read,
-                    AccessKind::Write => &mut h.written,
-                };
-                if !*flag {
-                    *flag = true;
-                    let entry = Self::touch_entry(&mut self.touched, h.base);
-                    match kind {
-                        AccessKind::Read => entry.read = true,
-                        AccessKind::Write => entry.written = true,
-                    }
-                }
-                Some(h.start)
-            }
-            _ => {
-                // Second level: the per-pc memo. Kernels that alternate
-                // between objects (pc 0 reads A, pc 1 writes B) thrash
-                // `last_hit`, but every thread repeats the same instruction
-                // sequence, so the object seen at this pc by an earlier
-                // thread is almost always the right one. Containment makes
-                // a hit exact; a stale entry just falls through.
-                let (start, end) = match self.pc_hints.get(pc as usize) {
-                    Some(&(s, e)) if raw >= s && raw < e => (s, e),
-                    _ => {
-                        let obj = alloc.find_containing(addr)?;
-                        let start = obj.ptr.addr();
-                        let end = start + obj.size;
-                        if self.pc_memo && (pc as usize) < PC_MEMO_CAP {
-                            let i = pc as usize;
-                            if i >= self.pc_hints.len() {
-                                self.pc_hints.resize(i + 1, EMPTY_HINT);
-                            }
-                            self.pc_hints[i] = (start, end);
-                        }
-                        (start, end)
-                    }
-                };
-                let base = DevicePtr::new(start);
-                let entry = Self::touch_entry(&mut self.touched, base);
-                match kind {
-                    AccessKind::Read => entry.read = true,
-                    AccessKind::Write => entry.written = true,
-                }
-                self.last_hit = Some(LastHit {
-                    base,
-                    start,
-                    end,
-                    read: entry.read,
-                    written: entry.written,
-                });
-                Some(start)
+    /// Sets the access's hit flag on the allocation based at
+    /// `alloc_start`, which is the last hit. The flag copy in `last_hit`
+    /// lets repeat accesses skip the `touched` list.
+    fn update_touched(&mut self, alloc_start: u64, kind: AccessKind) {
+        let h = self
+            .last_hit
+            .as_mut()
+            .expect("note_access follows a successful window lookup");
+        debug_assert_eq!(h.start, alloc_start);
+        let flag = match kind {
+            AccessKind::Read => &mut h.read,
+            AccessKind::Write => &mut h.written,
+        };
+        if !*flag {
+            *flag = true;
+            let entry = Self::touch_entry(&mut self.touched, DevicePtr::new(alloc_start));
+            match kind {
+                AccessKind::Read => entry.read = true,
+                AccessKind::Write => entry.written = true,
             }
         }
     }
 
     /// Pushes one raw record through the serial coalesce/buffer/flush path.
-    /// `alloc_start` is the containing allocation's base (precomputed by
-    /// [`AccessSink::update_touched`] or carried in a staged record).
+    /// `alloc_start` is the containing allocation's base (the access's
+    /// [`AccessSink::window`], or carried in a staged record).
     #[allow(clippy::too_many_arguments)]
     fn push_full_record(
         &mut self,
@@ -1088,7 +1100,7 @@ impl AccessSink {
         kind: AccessKind,
         flat_thread: u64,
         pc: u32,
-        alloc_start: Option<u64>,
+        alloc_start: u64,
     ) {
         let raw = addr.addr();
         if self.coalesce {
@@ -1111,10 +1123,15 @@ impl AccessSink {
             // attribution downstream — and (b) at a junction aligned to
             // the tools' element width, so per-element frequency counts
             // (one per record per overlapped element) stay exact.
-            let align = self.coalesce_align;
-            let can_grow = |rec: &MemAccessRecord| {
-                alloc_start.is_some_and(|s| rec.addr.addr() >= s && (raw - s).is_multiple_of(align))
+            let (offset, align) = (raw - alloc_start, self.coalesce_align);
+            // Element widths are powers of two in practice: spare the
+            // division on the per-access path.
+            let aligned = if align.is_power_of_two() {
+                offset & (align - 1) == 0
+            } else {
+                offset.is_multiple_of(align)
             };
+            let can_grow = |rec: &MemAccessRecord| aligned && rec.addr.addr() >= alloc_start;
             if let Some(idx) = self.merge_candidates.get(warp, pc) {
                 let rec = &mut self.buffer[idx];
                 if rec.kind == kind

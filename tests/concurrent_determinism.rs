@@ -176,3 +176,58 @@ fn fault_plans_force_serial_fallback() {
     assert_eq!(parallel.1, serial.1, "trace v2 bytes diverged under faults");
     assert_eq!(parallel.2, serial.2, "fault logs diverged");
 }
+
+/// What one unprofiled run leaves behind: the workload's result checksum
+/// (computed from device memory read back before the frees), every live
+/// allocation's bytes in address order, and the number of materialized
+/// pages.
+type DeviceMemory = (u64, Vec<(u64, Vec<u8>)>, usize);
+
+/// Runs one workload unprofiled under `kernel_workers` worker threads and
+/// returns what it leaves in device memory.
+fn device_memory_after(spec: &WorkloadSpec, workers: usize) -> DeviceMemory {
+    let mut ctx = DeviceContext::with_config(SimConfig::default().with_kernel_workers(workers));
+    let outcome = (spec.run)(&mut ctx, Variant::Unoptimized, &RunConfig::default())
+        .unwrap_or_else(|e| panic!("workload {} failed: {e}", spec.name));
+    let live = ctx
+        .allocator()
+        .iter()
+        .map(|info| {
+            let mut bytes = vec![0u8; info.size as usize];
+            ctx.memory().read_bytes(info.ptr, &mut bytes);
+            (info.ptr.addr(), bytes)
+        })
+        .collect();
+    (
+        outcome.checksum.to_bits(),
+        live,
+        ctx.memory().resident_pages(),
+    )
+}
+
+/// Block-parallel execution writes through the same page table as the
+/// serial schedule, so it must leave identical device memory behind: the
+/// same results, the same bytes in every live allocation and the same
+/// materialized pages.
+#[test]
+fn parallel_execution_leaves_identical_device_memory() {
+    for spec in drgpum::workloads::all() {
+        let (serial_sum, serial_live, serial_pages) = device_memory_after(&spec, 1);
+        let (parallel_sum, parallel_live, parallel_pages) = device_memory_after(&spec, 4);
+        assert_eq!(
+            parallel_sum, serial_sum,
+            "{}: result checksum diverged under 4 workers",
+            spec.name
+        );
+        assert_eq!(
+            parallel_live, serial_live,
+            "{}: live allocation bytes diverged under 4 workers",
+            spec.name
+        );
+        assert_eq!(
+            parallel_pages, serial_pages,
+            "{}: resident pages diverged under 4 workers",
+            spec.name
+        );
+    }
+}

@@ -595,3 +595,181 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
         }
     }
 }
+
+// ------------------------------------------------------------ page table
+
+/// The radix page table behind device memory against a naive byte model:
+/// a `BTreeMap` from address to byte (absent = zero) plus the set of pages
+/// the store's contract says are materialized. Random writes, reads,
+/// zero and non-zero fills, overlapping copies and discards cluster around
+/// the bottom of the address space, page and leaf boundaries, and the top
+/// of the table, so every piece-splitting and leaf-install path runs.
+#[test]
+fn page_table_matches_byte_model() {
+    use gpu_sim::mem::{PagedStore, DEVICE_ADDR_BASE, PAGE_SIZE};
+    use gpu_sim::DevicePtr;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Bytes one leaf of the table maps.
+    const LEAF: u64 = 512 * PAGE_SIZE;
+    const CAPACITY: u64 = 3 * LEAF;
+
+    struct Model {
+        bytes: BTreeMap<u64, u8>,
+        pages: BTreeSet<u64>,
+    }
+    impl Model {
+        fn page(addr: u64) -> u64 {
+            (addr - DEVICE_ADDR_BASE) / PAGE_SIZE
+        }
+        fn get(&self, addr: u64) -> u8 {
+            self.bytes.get(&addr).copied().unwrap_or(0)
+        }
+        fn set(&mut self, addr: u64, v: u8) {
+            self.bytes.insert(addr, v);
+            self.pages.insert(Self::page(addr));
+        }
+    }
+
+    fn pick(rng: &mut SplitMix64, len: u64) -> u64 {
+        let anchor = match rng.next_below(5) {
+            0 => 0,
+            1 => CAPACITY - len,
+            2 => rng.next_below(CAPACITY / LEAF) * LEAF,
+            3 => rng.next_below(CAPACITY / PAGE_SIZE) * PAGE_SIZE,
+            _ => rng.next_below(CAPACITY),
+        };
+        let jitter = rng.next_below(2 * 64);
+        DEVICE_ADDR_BASE + (anchor + jitter).saturating_sub(64).min(CAPACITY - len)
+    }
+
+    fn length(rng: &mut SplitMix64) -> u64 {
+        match rng.next_below(10) {
+            0..=4 => range(rng, 1, 64),
+            5..=8 => range(rng, 1, PAGE_SIZE),
+            _ => range(rng, PAGE_SIZE, 3 * PAGE_SIZE),
+        }
+    }
+
+    for seed in 0..24 {
+        let mut rng = SplitMix64::new(0x9A6E_0000 ^ seed);
+        let mut store = PagedStore::new(CAPACITY);
+        let mut model = Model {
+            bytes: BTreeMap::new(),
+            pages: BTreeSet::new(),
+        };
+        for step in 0..80 {
+            let len = length(&mut rng);
+            let at = pick(&mut rng, len);
+            let ctx = format!(
+                "seed {seed} step {step} at +{:#x} len {len}",
+                at - DEVICE_ADDR_BASE
+            );
+            match rng.next_below(6) {
+                0 => {
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    store.write_bytes(DevicePtr::new(at), &data);
+                    for (i, &v) in data.iter().enumerate() {
+                        model.set(at + i as u64, v);
+                    }
+                }
+                1 => {
+                    let value = if rng.chance(0.5) {
+                        0
+                    } else {
+                        rng.next_u64() as u8 | 1
+                    };
+                    store.fill(DevicePtr::new(at), len, value);
+                    for a in at..at + len {
+                        if value != 0 {
+                            model.set(a, value);
+                        } else if model.pages.contains(&Model::page(a)) {
+                            model.bytes.insert(a, 0);
+                        }
+                    }
+                }
+                2 => {
+                    // Overlapping copies in both directions are common:
+                    // the source sits within a few pages of the target.
+                    let src = if rng.chance(0.5) {
+                        pick(&mut rng, len)
+                    } else {
+                        let delta = range(&mut rng, 0, 2 * PAGE_SIZE);
+                        let src = if rng.chance(0.5) {
+                            at + delta
+                        } else {
+                            at.saturating_sub(delta)
+                        };
+                        src.clamp(DEVICE_ADDR_BASE, DEVICE_ADDR_BASE + CAPACITY - len)
+                    };
+                    store.copy_within(DevicePtr::new(at), DevicePtr::new(src), len);
+                    // memmove, byte by byte in the overlap-safe direction;
+                    // a destination page materializes when its byte's
+                    // source page is resident at the time of the copy.
+                    let order: Vec<u64> = if at > src {
+                        (0..len).rev().collect()
+                    } else {
+                        (0..len).collect()
+                    };
+                    for i in order {
+                        let (s, d) = (src + i, at + i);
+                        if model.pages.contains(&Model::page(s)) {
+                            let v = model.get(s);
+                            model.set(d, v);
+                        } else if model.pages.contains(&Model::page(d)) {
+                            model.bytes.insert(d, 0);
+                        }
+                    }
+                }
+                3 => {
+                    store.discard(DevicePtr::new(at), len);
+                    let rel = at - DEVICE_ADDR_BASE;
+                    for page in rel.div_ceil(PAGE_SIZE)..(rel + len) / PAGE_SIZE {
+                        model.pages.remove(&page);
+                        let lo = DEVICE_ADDR_BASE + page * PAGE_SIZE;
+                        let doomed: Vec<u64> = model
+                            .bytes
+                            .range(lo..lo + PAGE_SIZE)
+                            .map(|(&a, _)| a)
+                            .collect();
+                        for a in doomed {
+                            model.bytes.remove(&a);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            // Every step ends with a read, which must not materialize.
+            let (rlen, rat) = {
+                let rlen = length(&mut rng);
+                (rlen, pick(&mut rng, rlen))
+            };
+            let mut got = vec![0xEEu8; rlen as usize];
+            store.read_bytes(DevicePtr::new(rat), &mut got);
+            let want: Vec<u8> = (rat..rat + rlen).map(|a| model.get(a)).collect();
+            assert_eq!(got, want, "{ctx}: read +{:#x}", rat - DEVICE_ADDR_BASE);
+            assert_eq!(
+                store.resident_pages(),
+                model.pages.len(),
+                "{ctx}: resident pages"
+            );
+        }
+        // Residency agrees page by page; the contents of a few resident
+        // pages are compared whole.
+        for page in 0..CAPACITY / PAGE_SIZE {
+            let lo = DEVICE_ADDR_BASE + page * PAGE_SIZE;
+            assert_eq!(
+                store.is_resident(DevicePtr::new(lo)),
+                model.pages.contains(&page),
+                "seed {seed}: residency of page {page}"
+            );
+        }
+        for &page in model.pages.iter().step_by(16) {
+            let lo = DEVICE_ADDR_BASE + page * PAGE_SIZE;
+            let mut got = vec![0u8; PAGE_SIZE as usize];
+            store.read_bytes(DevicePtr::new(lo), &mut got);
+            let want: Vec<u8> = (lo..lo + PAGE_SIZE).map(|a| model.get(a)).collect();
+            assert_eq!(got, want, "seed {seed}: final contents of page {page}");
+        }
+    }
+}

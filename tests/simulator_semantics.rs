@@ -210,3 +210,33 @@ fn caching_pool_never_overlaps_tensors() {
         }
     }
 }
+
+/// Access validation's allocation lookups, pinned exactly on 3MM.
+///
+/// Every kernel access is validated against the window of its containing
+/// allocation; `ContextStats::alloc_lookups` counts the allocator searches
+/// made after both the last-hit window and the per-pc memo missed. The
+/// count is deterministic, so a cache regression shows here on any host,
+/// without timing anything. It is the same with and without a profiler
+/// attached (the lookups serve validation first), and every multi-worker
+/// count agrees, because parallel workers start each block from empty
+/// caches.
+#[test]
+fn allocation_lookups_are_pinned_on_3mm() {
+    let spec = drgpum::workloads::by_name("3MM").expect("registered");
+    let run = |workers: usize, profiled: bool| {
+        let mut ctx = DeviceContext::with_config(SimConfig::default().with_kernel_workers(workers));
+        let profiler =
+            profiled.then(|| Profiler::attach(&mut ctx, ProfilerOptions::intra_object()));
+        (spec.run)(&mut ctx, Variant::Unoptimized, &RunConfig::default()).unwrap();
+        drop(profiler);
+        let stats = ctx.stats();
+        (stats.alloc_lookups, stats.instrumented_accesses)
+    };
+    // 3MM makes 84 672 global accesses; one lookup per access was the
+    // cost before the caches.
+    assert_eq!(run(1, false), (147, 0), "serial, unprofiled");
+    assert_eq!(run(1, true), (147, 84_672), "serial, profiled");
+    assert_eq!(run(2, false).0, 1_323, "two workers");
+    assert_eq!(run(4, true).0, 1_323, "four workers, profiled");
+}

@@ -108,9 +108,12 @@ impl DataObject {
 #[derive(Debug, Default)]
 pub struct ObjectRegistry {
     objects: Vec<DataObject>,
-    /// Live interval index: base address → object id. Source of truth for
-    /// alloc/free semantics; the flat `index` below is rebuilt from it.
-    live: BTreeMap<u64, ObjectId>,
+    /// Live interval index: `(base address, is pool tensor)` → object id.
+    /// A pool tensor carved at offset 0 of its slab shares the slab's base,
+    /// so the base alone cannot key both; the tensor sorts after the slab,
+    /// which keeps it innermost. Source of truth for alloc/free semantics;
+    /// the flat `index` below is rebuilt from it.
+    live: BTreeMap<(u64, bool), ObjectId>,
     /// Epoch-tagged flat snapshot of `live`, sorted by base address.
     /// Rebuilt on every alloc/free (rare); queried by binary search on the
     /// per-access hot path (frequent). The `epoch` counter invalidates any
@@ -209,27 +212,42 @@ impl ObjectRegistry {
             alloc_is_api,
             free_is_api: true,
         });
-        self.live.insert(range.start.addr(), id);
+        self.live
+            .insert((range.start.addr(), source == ObjectSource::PoolTensor), id);
         self.rebuild_index();
         id
     }
 
     /// Records a deallocation of the object based at `base`.
     ///
-    /// Returns the retired object's id, or `None` if no live object starts
-    /// at `base` (e.g. a pool-internal pointer).
+    /// Frees the allocation at `base` (a slab wins over a tensor carved at
+    /// its offset 0; a lone tensor is freed too). Returns the retired
+    /// object's id, or `None` if no live object starts at `base` (e.g. a
+    /// pool-internal pointer).
     pub fn on_free(&mut self, base: DevicePtr, free_api: usize) -> Option<ObjectId> {
-        self.on_free_with(base, free_api, true)
+        let key = (base.addr(), false);
+        let key = if self.live.contains_key(&key) {
+            key
+        } else {
+            (base.addr(), true)
+        };
+        self.on_free_with(key, free_api, true)
     }
 
-    /// Records a pool-level deallocation anchored *before* GPU API
-    /// `anchor`; the free itself is not a GPU API (Sec. 5.4).
+    /// Records a pool-level deallocation of the tensor based at `base`,
+    /// anchored *before* GPU API `anchor`; the free itself is not a GPU API
+    /// (Sec. 5.4). A slab sharing the tensor's base stays live.
     pub fn on_pool_free(&mut self, base: DevicePtr, anchor: usize) -> Option<ObjectId> {
-        self.on_free_with(base, anchor, false)
+        self.on_free_with((base.addr(), true), anchor, false)
     }
 
-    fn on_free_with(&mut self, base: DevicePtr, free_api: usize, is_api: bool) -> Option<ObjectId> {
-        let id = self.live.remove(&base.addr())?;
+    fn on_free_with(
+        &mut self,
+        key: (u64, bool),
+        free_api: usize,
+        is_api: bool,
+    ) -> Option<ObjectId> {
+        let id = self.live.remove(&key)?;
         let obj = &mut self.objects[id.0 as usize];
         obj.free_api = Some(free_api);
         obj.free_is_api = is_api;
@@ -243,7 +261,7 @@ impl ObjectRegistry {
         self.epoch = self.epoch.wrapping_add(1);
         self.index.clear();
         let mut max_end = 0u64;
-        for (&start, &id) in &self.live {
+        for (&(start, _), &id) in &self.live {
             let end = self.objects[id.0 as usize].range.end().addr();
             max_end = max_end.max(end);
             self.index.push(IndexEntry {
@@ -284,7 +302,7 @@ impl ObjectRegistry {
         // candidate containing `addr` is the innermost allocation because
         // inner objects (pool tensors) start at higher-or-equal bases than
         // their enclosing slab.
-        for (_, &id) in self.live.range(..=addr.addr()).rev() {
+        for (_, &id) in self.live.range(..=(addr.addr(), true)).rev() {
             let obj = &self.objects[id.0 as usize];
             if obj.range.contains(addr) {
                 return Some(id);
@@ -499,6 +517,51 @@ mod tests {
         // After the tensor is freed, the slab reclaims the range.
         reg.on_free(DevicePtr::new(0x1200), 2);
         assert_eq!(reg.resolve(DevicePtr::new(0x1250)), Some(slab));
+    }
+
+    #[test]
+    fn slab_and_tensor_at_the_same_base_coexist() {
+        let mut reg = ObjectRegistry::new();
+        let slab = reg.on_alloc(
+            "slab",
+            range(0x1000, 0x1000),
+            ObjectSource::PoolSlab,
+            0,
+            true,
+            CallPath::empty(),
+        );
+        let tensor = reg.on_alloc(
+            "t",
+            range(0x1000, 0x200),
+            ObjectSource::PoolTensor,
+            1,
+            false,
+            CallPath::empty(),
+        );
+        assert_eq!(reg.live_count(), 2);
+        // Innermost wins inside the tensor; the slab owns the rest.
+        assert_eq!(reg.resolve(DevicePtr::new(0x1000)), Some(tensor));
+        assert_eq!(reg.resolve(DevicePtr::new(0x11FF)), Some(tensor));
+        assert_eq!(reg.resolve(DevicePtr::new(0x1200)), Some(slab));
+        // The pool free retires the tensor only.
+        assert_eq!(reg.on_pool_free(DevicePtr::new(0x1000), 2), Some(tensor));
+        assert_eq!(reg.resolve(DevicePtr::new(0x1000)), Some(slab));
+        // A second tensor at offset 0, then the slab's cudaFree: the slab
+        // is retired, the tensor stays live until its own free.
+        let again = reg.on_alloc(
+            "t2",
+            range(0x1000, 0x200),
+            ObjectSource::PoolTensor,
+            3,
+            false,
+            CallPath::empty(),
+        );
+        assert_eq!(reg.on_free(DevicePtr::new(0x1000), 4), Some(slab));
+        assert!(reg.get(slab).unwrap().free_is_api);
+        assert_eq!(reg.resolve(DevicePtr::new(0x1200)), None);
+        assert_eq!(reg.resolve(DevicePtr::new(0x1000)), Some(again));
+        assert_eq!(reg.on_pool_free(DevicePtr::new(0x1000), 5), Some(again));
+        assert_eq!(reg.live_count(), 0);
     }
 
     #[test]

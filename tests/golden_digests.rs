@@ -76,8 +76,8 @@ const GOLDEN: &[(&str, bool, u64, u64)] = &[
     ("GramSchmidt", true, 0x364ee64f2be424eb, 0xa6d02db6235da131),
     ("BICG", false, 0x06b6752a2cd534df, 0x3a043cad3575a99c),
     ("BICG", true, 0xb9bcf58e7b0373e7, 0xc20facd27c3a032f),
-    ("PyTorch", false, 0xf170d3f0788de684, 0xf52236d60cecefd8),
-    ("PyTorch", true, 0xf170d3f0788de684, 0xc7d65ffac40f5ac2),
+    ("PyTorch", false, 0x558c5b6bc6c4ca59, 0xbacdf169685788d3),
+    ("PyTorch", true, 0x558c5b6bc6c4ca59, 0xd0b00a91d6334337),
     ("Laghos", false, 0xcec112ff8a6e48b3, 0x8f2cb77bf47b88d0),
     ("Laghos", true, 0xcec112ff8a6e48b3, 0x20f8ebafbf07997d),
     ("Darknet", false, 0x8f160a597eef4c60, 0xb9bf2ef6dad9b4da),

@@ -439,31 +439,86 @@ fn peaks_are_true_local_maxima() {
 
 // ------------------------------------------------------------ memory map
 
-/// The overhauled hot-path resolvers — flat epoch-tagged snapshot index,
-/// last-hit [`ResolveCache`], span splitting — against the pre-overhaul
-/// `BTreeMap` walk (`resolve_slow`), which is kept in-tree as the reference
-/// semantics. Randomized alloc/free/realloc sequences run through the real
-/// [`DeviceAllocator`], so freed address ranges are genuinely reused
-/// (first-fit + coalescing), and the persistent cache carried across
-/// mutations exercises stale-window invalidation: a hit on an epoch bumped
-/// by a free or a same-base realloc would surface here as a wrong id.
+/// The registry's resolvers — flat epoch-tagged snapshot index, last-hit
+/// [`ResolveCache`], span splitting — against the test's own model of what
+/// is live: the containing pool tensor if there is one, else the
+/// containing allocation. Randomized alloc/free/realloc sequences run
+/// through the real [`DeviceAllocator`], so freed address ranges are
+/// genuinely reused (first-fit + coalescing), and the persistent cache
+/// carried across mutations exercises stale-window invalidation: a hit on
+/// an epoch bumped by a free or a same-base realloc would surface here as
+/// a wrong id. Tensors are often carved at offset 0 of their slab, where
+/// the two objects share a base address.
 #[test]
 fn registry_fast_resolvers_match_btreemap_oracle() {
-    use drgpum::profiler::object::{ObjectRegistry, ObjectSource, ResolveCache};
+    use drgpum::profiler::object::{ObjectId, ObjectRegistry, ObjectSource, ResolveCache};
     use gpu_sim::{AddrRange, CallPath, DevicePtr};
 
     const CAPACITY: u64 = 1 << 20;
+
+    /// A live object of the model: `[base, base + size)` with its id.
+    #[derive(Clone, Copy)]
+    struct Live {
+        base: u64,
+        size: u64,
+        id: ObjectId,
+    }
+
+    impl Live {
+        fn contains(&self, addr: u64) -> bool {
+            addr >= self.base && addr < self.base + self.size
+        }
+    }
+
+    /// The reference semantics: a tensor beats the slab it is carved from.
+    fn model_resolve(slabs: &[Live], tensors: &[(u64, Live)], addr: u64) -> Option<ObjectId> {
+        tensors
+            .iter()
+            .map(|(_, t)| t)
+            .chain(slabs)
+            .find(|o| o.contains(addr))
+            .map(|o| o.id)
+    }
 
     for seed in 0..CASES {
         let mut rng = SplitMix64::new(0x5EED_0000 ^ seed);
         let mut reg = ObjectRegistry::new();
         let mut dev = DeviceAllocator::new(CAPACITY);
-        // (base, size) of live CUDA objects; tensors tracked per parent.
-        let mut slabs: Vec<(u64, u64)> = Vec::new();
-        let mut tensors: Vec<(u64, u64, u64)> = Vec::new(); // (parent base, base, size)
-                                                            // One persistent cache across every mutation: epoch invalidation is
-                                                            // the property under test, so the cache is never reset by hand.
+        // Live CUDA objects, and tensors keyed by their parent's base.
+        let mut slabs: Vec<Live> = Vec::new();
+        let mut tensors: Vec<(u64, Live)> = Vec::new();
+        // One persistent cache across every mutation: epoch invalidation is
+        // the property under test, so the cache is never reset by hand.
         let mut cache = ResolveCache::new();
+        let alloc = |reg: &mut ObjectRegistry, base: u64, size: u64, tensor: bool, api: usize| {
+            let id = reg.on_alloc(
+                if tensor { "tensor" } else { "obj" },
+                AddrRange::new(DevicePtr::new(base), size),
+                if tensor {
+                    ObjectSource::PoolTensor
+                } else {
+                    ObjectSource::Cuda
+                },
+                api,
+                !tensor,
+                CallPath::empty(),
+            );
+            Live { base, size, id }
+        };
+        // Frees a live object; its tensor (if any) goes first, as a pool
+        // would return tensors before releasing the slab.
+        let free = |reg: &mut ObjectRegistry,
+                    dev: &mut DeviceAllocator,
+                    tensors: &mut Vec<(u64, Live)>,
+                    slab: Live,
+                    api: usize| {
+            if let Some(t) = tensors.iter().position(|&(p, _)| p == slab.base) {
+                let (_, t) = tensors.swap_remove(t);
+                assert_eq!(reg.on_pool_free(DevicePtr::new(t.base), api), Some(t.id));
+            }
+            dev.free(DevicePtr::new(slab.base)).unwrap();
+            assert_eq!(reg.on_free(DevicePtr::new(slab.base), api), Some(slab.id));
+        };
         for api in 0..120usize {
             let roll = range(&mut rng, 0, 100);
             if roll < 40 || slabs.is_empty() {
@@ -471,84 +526,59 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
                 // adjacency are common.
                 let size = range(&mut rng, 1, 8192);
                 if let Ok(info) = dev.malloc(size) {
-                    reg.on_alloc(
-                        "obj",
-                        AddrRange::new(info.ptr, size),
-                        ObjectSource::Cuda,
-                        api,
-                        true,
-                        CallPath::empty(),
-                    );
-                    slabs.push((info.ptr.addr(), size));
+                    slabs.push(alloc(&mut reg, info.ptr.addr(), size, false, api));
                 }
             } else if roll < 55 {
                 // Carve a pool tensor inside a live slab (innermost-wins is
-                // part of the resolve contract). Tensors never overlap: at
-                // most one per slab, dropped when the slab goes.
+                // part of the resolve contract), at its offset 0 a third of
+                // the time. Tensors never overlap: at most one per slab,
+                // dropped when the slab goes.
                 let n = range(&mut rng, 0, slabs.len() as u64) as usize;
-                let (base, size) = slabs[n];
-                let has = tensors.iter().any(|&(p, _, _)| p == base);
-                if !has && size >= 64 {
-                    let t_len = range(&mut rng, 1, size / 2);
-                    let t_off = range(&mut rng, 0, size - t_len);
-                    reg.on_alloc(
-                        "tensor",
-                        AddrRange::new(DevicePtr::new(base + t_off), t_len),
-                        ObjectSource::PoolTensor,
-                        api,
-                        false,
-                        CallPath::empty(),
-                    );
-                    tensors.push((base, base + t_off, t_len));
+                let slab = slabs[n];
+                let has = tensors.iter().any(|&(p, _)| p == slab.base);
+                if !has && slab.size >= 64 {
+                    let t_len = range(&mut rng, 1, slab.size / 2);
+                    let t_off = if rng.chance(0.33) {
+                        0
+                    } else {
+                        range(&mut rng, 0, slab.size - t_len)
+                    };
+                    let t = alloc(&mut reg, slab.base + t_off, t_len, true, api);
+                    tensors.push((slab.base, t));
                 }
             } else if roll < 85 {
-                // Free a random live object; its tensor (if any) goes first,
-                // as a pool would return tensors before releasing the slab.
                 let n = range(&mut rng, 0, slabs.len() as u64) as usize;
-                let (base, _) = slabs.swap_remove(n);
-                if let Some(t) = tensors.iter().position(|&(p, _, _)| p == base) {
-                    let (_, t_base, _) = tensors.swap_remove(t);
-                    reg.on_pool_free(DevicePtr::new(t_base), api);
-                }
-                dev.free(DevicePtr::new(base)).unwrap();
-                reg.on_free(DevicePtr::new(base), api);
+                let slab = slabs.swap_remove(n);
+                free(&mut reg, &mut dev, &mut tensors, slab, api);
             } else {
                 // Realloc: free + immediately malloc the same size. With a
                 // first-fit allocator the same base usually comes back, so
                 // the old id's window now covers a different object.
                 let n = range(&mut rng, 0, slabs.len() as u64) as usize;
-                let (base, size) = slabs.swap_remove(n);
-                if let Some(t) = tensors.iter().position(|&(p, _, _)| p == base) {
-                    let (_, t_base, _) = tensors.swap_remove(t);
-                    reg.on_pool_free(DevicePtr::new(t_base), api);
-                }
-                dev.free(DevicePtr::new(base)).unwrap();
-                reg.on_free(DevicePtr::new(base), api);
-                if let Ok(info) = dev.malloc(size) {
-                    reg.on_alloc(
-                        "realloc",
-                        AddrRange::new(info.ptr, size),
-                        ObjectSource::Cuda,
-                        api,
-                        true,
-                        CallPath::empty(),
-                    );
-                    slabs.push((info.ptr.addr(), size));
+                let slab = slabs.swap_remove(n);
+                free(&mut reg, &mut dev, &mut tensors, slab, api);
+                if let Ok(info) = dev.malloc(slab.size) {
+                    slabs.push(alloc(&mut reg, info.ptr.addr(), slab.size, false, api));
                 }
             }
+            assert_eq!(
+                reg.live_count(),
+                slabs.len() + tensors.len(),
+                "seed {seed}: live count"
+            );
 
             // Point probes: biased toward live ranges and their edges, with
             // a tail of uniform addresses (mostly misses).
             for _ in 0..24 {
                 let addr = if !slabs.is_empty() && rng.chance(0.8) {
-                    let (base, size) = slabs[range(&mut rng, 0, slabs.len() as u64) as usize];
+                    let s = slabs[range(&mut rng, 0, slabs.len() as u64) as usize];
                     // +8 past the end probes the boundary-miss case.
-                    base.wrapping_add(range(&mut rng, 0, size + 8))
+                    s.base.wrapping_add(range(&mut rng, 0, s.size + 8))
                 } else {
                     range(&mut rng, 0, CAPACITY)
                 };
                 let p = DevicePtr::new(addr);
-                let oracle = reg.resolve_slow(p);
+                let oracle = model_resolve(&slabs, &tensors, addr);
                 assert_eq!(reg.resolve(p), oracle, "seed {seed}: resolve @ {addr:#x}");
                 let fast = reg.resolve_cached(p, &mut cache);
                 assert_eq!(
@@ -565,11 +595,11 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
                 }
             }
 
-            // Span probe: segment-by-segment against per-byte oracle calls.
+            // Span probe: segment-by-segment against per-byte model lookups.
             let (start, len) = if !slabs.is_empty() && rng.chance(0.8) {
-                let (base, size) = slabs[range(&mut rng, 0, slabs.len() as u64) as usize];
+                let s = slabs[range(&mut rng, 0, slabs.len() as u64) as usize];
                 (
-                    base.wrapping_add(range(&mut rng, 0, size)),
+                    s.base.wrapping_add(range(&mut rng, 0, s.size)),
                     range(&mut rng, 0, 300),
                 )
             } else {
@@ -586,7 +616,7 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
                 }
             }
             for (i, got) in covered.iter().enumerate() {
-                let want = reg.resolve_slow(DevicePtr::new(start + i as u64));
+                let want = model_resolve(&slabs, &tensors, start + i as u64);
                 assert_eq!(
                     *got, want,
                     "seed {seed}: span byte {i} of [{start:#x}; {len})"

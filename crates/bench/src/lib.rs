@@ -16,10 +16,13 @@
 
 pub mod timing;
 
-use drgpum_core::{AnalysisLevel, PhaseTimings, Profiler, ProfilerOptions, Report, SamplingPolicy};
+use drgpum_core::{
+    AnalysisLevel, CollectorCounters, PhaseTimings, Profiler, ProfilerOptions, Report,
+    SamplingPolicy,
+};
 use drgpum_workloads::common::{RunOutcome, Variant};
 use drgpum_workloads::registry::{RunConfig, WorkloadSpec};
-use gpu_sim::{DeviceContext, PlatformConfig};
+use gpu_sim::{ContextStats, DeviceContext, PlatformConfig};
 use std::time::{Duration, Instant};
 
 /// Profiles one workload run with DrGPUM attached.
@@ -63,47 +66,31 @@ pub fn profile_workload(
     (profiler.report(&ctx), outcome)
 }
 
-/// Profiles one workload with fully explicit [`ProfilerOptions`] and
-/// additionally returns the serialized trace (format v2 text) — the
-/// byte-exact artifact the determinism checks compare across collection
-/// modes — plus the wall-clock time of the instrumented run alone
-/// (report rendering and trace serialization excluded; those costs are
-/// identical across collection modes and would dilute overhead ratios).
-///
-/// # Panics
-///
-/// Panics if the workload itself fails (a workload bug, not a profiler
-/// condition).
-pub fn profile_with_options(
-    spec: &WorkloadSpec,
-    variant: Variant,
-    options: ProfilerOptions,
-    platform: PlatformConfig,
-) -> (Report, String, RunOutcome, Duration) {
-    profile_in_ctx(spec, variant, options, DeviceContext::new(platform))
+/// Everything one profiled run leaves behind for the overhead bench.
+#[derive(Debug)]
+pub struct Profiled {
+    /// The analysis report.
+    pub report: Report,
+    /// The serialized trace (format v2 text) — the byte-exact artifact the
+    /// determinism checks compare.
+    pub trace: String,
+    /// The workload's own outcome.
+    pub outcome: RunOutcome,
+    /// Wall-clock time of the instrumented run alone (report rendering and
+    /// trace serialization excluded).
+    pub elapsed: Duration,
+    /// The collector's cumulative hot-path phase timings.
+    pub phases: PhaseTimings,
+    /// The collector's deterministic work counters.
+    pub counters: CollectorCounters,
+    /// The context's work counters (accesses, merged records, lookups).
+    pub stats: ContextStats,
 }
 
-/// Like [`profile_with_options`], but against a caller-built context —
-/// the overhead bench uses this to pin `kernel_workers` through
-/// [`gpu_sim::SimConfig`] independent of any environment override.
-///
-/// # Panics
-///
-/// Panics if the workload itself fails (a workload bug, not a profiler
-/// condition).
-pub fn profile_in_ctx(
-    spec: &WorkloadSpec,
-    variant: Variant,
-    options: ProfilerOptions,
-    ctx: DeviceContext,
-) -> (Report, String, RunOutcome, Duration) {
-    let (report, trace, outcome, elapsed, _) = profile_in_ctx_timed(spec, variant, options, ctx);
-    (report, trace, outcome, elapsed)
-}
-
-/// Like [`profile_in_ctx`], additionally returning the collector's
-/// cumulative hot-path [`PhaseTimings`] (resolve / aggregate / flush) —
-/// the overhead bench's per-phase breakdown.
+/// Profiles one workload with fully explicit [`ProfilerOptions`] against a
+/// caller-built context — the overhead bench pins `kernel_workers`
+/// through [`gpu_sim::SimConfig`] independent of any environment override —
+/// and returns the report, the trace, the timings and the work counters.
 ///
 /// # Panics
 ///
@@ -114,7 +101,7 @@ pub fn profile_in_ctx_timed(
     variant: Variant,
     mut options: ProfilerOptions,
     mut ctx: DeviceContext,
-) -> (Report, String, RunOutcome, Duration, PhaseTimings) {
+) -> Profiled {
     if let Some(elem) = spec.elem_size_hint {
         options.elem_size = elem;
     }
@@ -132,15 +119,24 @@ pub fn profile_in_ctx_timed(
     let outcome = (spec.run)(&mut ctx, variant, &cfg)
         .unwrap_or_else(|e| panic!("workload {} failed: {e}", spec.name));
     let elapsed = start.elapsed();
-    let (trace, phases) = {
+    let (trace, phases, counters) = {
         let collector = profiler.collector();
         let collector = collector.lock();
         (
             drgpum_core::trace_io::save(&collector, ctx.call_stack().table(), "rtx3090").to_text(),
             collector.phase_timings(),
+            collector.counters(),
         )
     };
-    (profiler.report(&ctx), trace, outcome, elapsed, phases)
+    Profiled {
+        report: profiler.report(&ctx),
+        trace,
+        outcome,
+        elapsed,
+        phases,
+        counters,
+        stats: ctx.stats(),
+    }
 }
 
 /// Convenience: profile with the paper's defaults (intra-object analysis,

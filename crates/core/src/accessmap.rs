@@ -10,33 +10,6 @@
 
 use std::fmt;
 
-/// Rejected merge of two access maps covering different extents.
-///
-/// Returned by [`AccessBitmap::merge`] and [`FreqMap::merge`] when the two
-/// maps do not describe the same data object: silently truncating to the
-/// shorter map would drop accesses and corrupt the overallocation and
-/// frequency analyses, so mismatches are surfaced to the caller (the
-/// sharded collector records them as degradations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LengthMismatch {
-    /// Extent of the map being merged into.
-    pub left: u64,
-    /// Extent of the map being merged from.
-    pub right: u64,
-}
-
-impl fmt::Display for LengthMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cannot merge access maps of different extents ({} vs {})",
-            self.left, self.right
-        )
-    }
-}
-
-impl std::error::Error for LengthMismatch {}
-
 /// A bitmap with one bit per byte of a data object.
 ///
 /// # Examples
@@ -114,24 +87,6 @@ impl AccessBitmap {
             *w = u64::MAX;
         }
         self.words[last_word] |= tail_mask;
-    }
-
-    /// Bitwise-ORs `other` into `self`.
-    ///
-    /// Both bitmaps must cover the same number of bytes; merging maps of
-    /// different extents is rejected (never silently truncated) because it
-    /// means the two sides disagree about the object being described.
-    pub fn merge(&mut self, other: &AccessBitmap) -> Result<(), LengthMismatch> {
-        if self.len != other.len {
-            return Err(LengthMismatch {
-                left: self.len,
-                right: other.len,
-            });
-        }
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-        Ok(())
     }
 
     /// Returns `true` if byte `i` is marked accessed.
@@ -331,53 +286,6 @@ impl RangeSet {
         }
     }
 
-    /// Merges every interval of `other` into `self`.
-    ///
-    /// Range sets carry no fixed extent, so unlike the bitmap and frequency
-    /// maps this merge cannot mismatch. The result is canonical (sorted,
-    /// non-overlapping, non-adjacent) regardless of merge order, which is
-    /// what makes the sharded collector's output order-independent.
-    ///
-    /// A single two-pointer sweep over both sorted lists — O(n + m) where
-    /// per-interval `insert` was O(n·m) with a `Vec::drain` per overlap.
-    pub fn merge(&mut self, other: &RangeSet) {
-        if other.ranges.is_empty() {
-            return;
-        }
-        if self.ranges.is_empty() {
-            self.ranges.clone_from(&other.ranges);
-            return;
-        }
-        let mut out = Vec::with_capacity(self.ranges.len() + other.ranges.len());
-        let (mut i, mut j) = (0, 0);
-        let mut cur: Option<(u64, u64)> = None;
-        while i < self.ranges.len() || j < other.ranges.len() {
-            let take_self = j >= other.ranges.len()
-                || (i < self.ranges.len() && self.ranges[i].0 <= other.ranges[j].0);
-            let (s, e) = if take_self {
-                i += 1;
-                self.ranges[i - 1]
-            } else {
-                j += 1;
-                other.ranges[j - 1]
-            };
-            match &mut cur {
-                // Touching or overlapping the open interval: absorb.
-                Some((_, ce)) if s <= *ce => *ce = (*ce).max(e),
-                _ => {
-                    if let Some(done) = cur.take() {
-                        out.push(done);
-                    }
-                    cur = Some((s, e));
-                }
-            }
-        }
-        if let Some(done) = cur {
-            out.push(done);
-        }
-        self.ranges = out;
-    }
-
     /// The merged intervals, sorted.
     pub fn ranges(&self) -> &[(u64, u64)] {
         &self.ranges
@@ -489,24 +397,6 @@ impl FreqMap {
         for c in &mut self.counts[first..=last] {
             *c = c.saturating_add(1);
         }
-    }
-
-    /// Adds `other`'s per-element counts into `self`, saturating.
-    ///
-    /// Both maps must have the same element count and width: a mismatch
-    /// means they describe different objects (or the same object at
-    /// different granularities) and is rejected rather than truncated.
-    pub fn merge(&mut self, other: &FreqMap) -> Result<(), LengthMismatch> {
-        if self.counts.len() != other.counts.len() || self.elem_size != other.elem_size {
-            return Err(LengthMismatch {
-                left: self.counts.len() as u64,
-                right: other.counts.len() as u64,
-            });
-        }
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c = c.saturating_add(*o);
-        }
-        Ok(())
     }
 
     /// Per-element counts.
@@ -723,79 +613,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bitmap_merge_is_bitwise_or() {
-        let mut a = AccessBitmap::new(200);
-        let mut b = AccessBitmap::new(200);
-        a.set_range(0, 50);
-        b.set_range(40, 130);
-        b.set_range(190, 200);
-        a.merge(&b).expect("same length");
-        assert_eq!(a.count_set(), 140);
-        assert_eq!(a.accessed_ranges(), vec![(0, 130), (190, 200)]);
-    }
-
-    #[test]
-    fn bitmap_merge_rejects_mismatched_lengths() {
-        let mut a = AccessBitmap::new(100);
-        let b = AccessBitmap::new(101);
-        let err = a.merge(&b).expect_err("mismatch");
-        assert_eq!(
-            err,
-            LengthMismatch {
-                left: 100,
-                right: 101
-            }
-        );
-        // The failed merge must not have partially applied.
-        assert_eq!(a.count_set(), 0);
-    }
-
-    #[test]
-    fn rangeset_merge_matches_sequential_inserts() {
-        let a: RangeSet = [(0, 10), (20, 30)].into_iter().collect();
-        let b: RangeSet = [(5, 22), (40, 50)].into_iter().collect();
-        let mut merged = a.clone();
-        merged.merge(&b);
-        let mut expected = RangeSet::new();
-        for &(s, e) in a.ranges().iter().chain(b.ranges()) {
-            expected.insert(s, e);
-        }
-        assert_eq!(merged, expected);
-        assert_eq!(merged.ranges(), &[(0, 30), (40, 50)]);
-    }
-
-    #[test]
-    fn freqmap_merge_adds_counts_saturating() {
-        let mut a = FreqMap::new(12, 4);
-        let mut b = FreqMap::new(12, 4);
-        a.record(0, 4);
-        b.record(0, 8);
-        b.record(8, 4);
-        a.merge(&b).expect("same shape");
-        assert_eq!(a.counts(), &[2, 1, 1]);
-
-        // Doubling via self-merge must saturate at u32::MAX, not wrap.
-        let mut sat = FreqMap::new(4, 4);
-        sat.record(0, 4);
-        for _ in 0..40 {
-            let snapshot = sat.clone();
-            sat.merge(&snapshot).expect("same shape");
-        }
-        assert_eq!(sat.counts(), &[u32::MAX]);
-    }
-
-    #[test]
-    fn freqmap_merge_rejects_mismatched_shapes() {
-        let mut a = FreqMap::new(16, 4);
-        let b = FreqMap::new(20, 4); // different element count
-        assert!(a.merge(&b).is_err());
-        let c = FreqMap::new(16, 8); // same byte size, different granularity
-        assert!(a.merge(&c).is_err());
-    }
-
-    /// Property tests: `set_range` / `count_set` / `merge` / `clear_ranges`
-    /// against a naive `Vec<bool>` model, driven by the in-tree SplitMix64.
+    /// Property tests: `set_range` / `count_set` / `clear_ranges`, range-set
+    /// inserts and frequency records against naive `Vec` models, driven by
+    /// the in-tree SplitMix64.
     mod properties {
         use super::*;
         use gpu_sim::SplitMix64;
@@ -815,12 +635,6 @@ mod tests {
                 let end = (end as usize).min(self.bytes.len());
                 for i in (start as usize)..end {
                     self.bytes[i] = true;
-                }
-            }
-
-            fn merge(&mut self, other: &Model) {
-                for (b, o) in self.bytes.iter_mut().zip(&other.bytes) {
-                    *b |= o;
                 }
             }
 
@@ -896,71 +710,80 @@ mod tests {
                         check_against_model(&bm, &model, &format!("trial {trial} op {op}"));
                     }
                 }
-                // Merge a second randomly-filled bitmap of the same length.
-                let mut other = AccessBitmap::new(len);
-                let mut other_model = Model::new(len);
+                // A burst of long ranges on top.
                 for _ in 0..8 {
                     let start = rng.next_below(len + 10);
                     let end = start + rng.next_below(200);
-                    other.set_range(start, end);
-                    other_model.set_range(start, end);
+                    bm.set_range(start, end);
+                    model.set_range(start, end);
                 }
-                bm.merge(&other).expect("same length");
-                model.merge(&other_model);
-                check_against_model(&bm, &model, &format!("trial {trial} after merge"));
+                check_against_model(&bm, &model, &format!("trial {trial} after burst"));
             }
         }
 
         #[test]
-        fn freqmap_merge_matches_sequential_records() {
+        fn freqmap_matches_count_model() {
             let mut rng = SplitMix64::new(0xF4E9);
             for trial in 0..100 {
                 let bytes = 1 + rng.next_below(300);
-                let elem = 1 + rng.next_below(8) as u32;
-                let mut split_a = FreqMap::new(bytes, elem);
-                let mut split_b = FreqMap::new(bytes, elem);
-                let mut sequential = FreqMap::new(bytes, elem);
-                for i in 0..20 {
-                    let off = rng.next_below(bytes);
-                    let size = 1 + rng.next_below(16) as u32;
-                    sequential.record(off, size);
-                    // Alternate records across the two shards.
-                    if i % 2 == 0 {
-                        split_a.record(off, size);
-                    } else {
-                        split_b.record(off, size);
+                let elem = 1 + rng.next_below(8);
+                let mut fm = FreqMap::new(bytes, elem as u32);
+                let mut model = vec![0u32; bytes.div_ceil(elem) as usize];
+                for _ in 0..20 {
+                    let off = rng.next_below(bytes + 8);
+                    let size = 1 + rng.next_below(16);
+                    fm.record(off, size as u32);
+                    // Every element overlapping `[off, off + size)` counts once.
+                    for (e, c) in model.iter_mut().enumerate() {
+                        let (lo, hi) = (e as u64 * elem, (e as u64 + 1) * elem);
+                        if lo < off + size && off < hi {
+                            *c += 1;
+                        }
                     }
                 }
-                split_a.merge(&split_b).expect("same shape");
-                assert_eq!(
-                    split_a.counts(),
-                    sequential.counts(),
-                    "trial {trial}: sharded merge must equal sequential aggregation"
-                );
+                assert_eq!(fm.counts(), &model[..], "trial {trial}");
             }
         }
 
+        /// Inserts mostly in ascending order (the append fast path), with
+        /// random out-of-order ones mixed in, against a byte model: the
+        /// stored intervals must be exactly the model's maximal runs.
         #[test]
-        fn rangeset_two_pointer_merge_matches_sequential_inserts() {
+        fn rangeset_matches_byte_model() {
             let mut rng = SplitMix64::new(0x2B01_57E9);
-            for trial in 0..100 {
-                let mut a = RangeSet::new();
-                let mut b = RangeSet::new();
-                for _ in 0..rng.next_below(20) {
-                    let s = rng.next_below(400);
-                    a.insert(s, s + 1 + rng.next_below(50));
+            for trial in 0..200 {
+                let mut rs = RangeSet::new();
+                let mut model = vec![false; 2048];
+                let mut cursor = 0u64;
+                for _ in 0..rng.next_below(40) {
+                    let (s, e) = if rng.chance(0.7) {
+                        // Ascending: abut, overlap, or leave a gap after
+                        // the previous insert.
+                        let s = cursor.saturating_sub(rng.next_below(3)) + rng.next_below(3);
+                        (s, s + rng.next_below(20))
+                    } else {
+                        let s = rng.next_below(600);
+                        (s, s + rng.next_below(50))
+                    };
+                    cursor = cursor.max(e);
+                    rs.insert(s, e);
+                    for b in &mut model[s as usize..e as usize] {
+                        *b = true;
+                    }
                 }
-                for _ in 0..rng.next_below(20) {
-                    let s = rng.next_below(400);
-                    b.insert(s, s + 1 + rng.next_below(50));
+                let mut runs = Vec::new();
+                let mut open: Option<u64> = None;
+                for (i, &b) in model.iter().chain([&false]).enumerate() {
+                    match (b, open) {
+                        (true, None) => open = Some(i as u64),
+                        (false, Some(s)) => {
+                            runs.push((s, i as u64));
+                            open = None;
+                        }
+                        _ => {}
+                    }
                 }
-                let mut merged = a.clone();
-                merged.merge(&b);
-                let mut expected = a.clone();
-                for &(s, e) in b.ranges() {
-                    expected.insert(s, e);
-                }
-                assert_eq!(merged, expected, "trial {trial}");
+                assert_eq!(rs.ranges(), &runs[..], "trial {trial}");
             }
         }
 

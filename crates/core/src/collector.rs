@@ -14,7 +14,7 @@
 //! All pattern detection itself happens offline in
 //! [`crate::analyzer`], on the data gathered here.
 
-use crate::accessmap::{AccessBitmap, FreqMap, RangeSet};
+use crate::accessmap::{FreqMap, RangeSet};
 use crate::depgraph::VertexAccess;
 use crate::error::ProfilerError;
 use crate::governor::{CollectionRung, ResourceBudget, SessionGovernor};
@@ -42,21 +42,40 @@ use std::time::Instant;
 
 /// Cumulative wall-clock time the collector spent in each hot-path phase.
 ///
-/// `resolve` is address→object resolution (pass 1 of the serial fast path,
-/// phase A of the sharded path), `aggregate` is per-object map updates
-/// (pass 2 / phase B), `flush` is kernel-end finalization (scratch drain,
-/// per-API range publication, frequency-peak comparison). Maintained with
-/// two clock reads per flushed buffer plus one per kernel — far below
-/// measurement noise — and surfaced by the overhead bench's per-phase
-/// breakdown. Timings never feed reports or traces.
+/// `resolve` is address→object resolution (the first pass over a record
+/// buffer), `aggregate` is per-object map updates (the second pass),
+/// `flush` is kernel-end finalization (per-API range publication,
+/// frequency-peak comparison). Maintained with two clock reads per flushed
+/// buffer plus one per kernel — far below measurement noise — and surfaced
+/// by the overhead bench's per-phase breakdown. Timings never feed reports
+/// or traces.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Nanoseconds resolving addresses against the memory map.
     pub resolve_ns: u64,
     /// Nanoseconds updating per-object aggregation state.
     pub aggregate_ns: u64,
-    /// Nanoseconds finalizing kernels (drain/merge/publish).
+    /// Nanoseconds finalizing kernels (publish ranges and peaks).
     pub flush_ns: u64,
+}
+
+/// Deterministic work counters of the record path, the companions of
+/// [`PhaseTimings`]: a given program and configuration always yields the
+/// same values, so a regression in resolution shows up without timing
+/// anything. Counters never feed reports or traces.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CollectorCounters {
+    /// Access records delivered to the collector from fully-patched
+    /// kernels (after any sanitizer-side coalescing).
+    pub records: u64,
+    /// Records that did not fit the resolve window of their first byte —
+    /// they cross an object boundary (a coalesced record spanning adjacent
+    /// pool tensors) or start outside any object — and were resolved as
+    /// byte spans instead.
+    pub span_records: u64,
+    /// Record resolutions that missed the last-hit resolve cache and
+    /// searched the interval index.
+    pub resolve_misses: u64,
 }
 
 /// Per-kernel per-object flags, held in a dense table indexed by object id
@@ -153,56 +172,21 @@ impl IntraState {
     }
 }
 
-/// Records the record-buffer cap the collector requests through the
-/// sanitizer backpressure hint once it has degraded to coalesced-or-worse
-/// collection: smaller buffers mean less staging memory between flushes.
+/// The record-buffer cap the collector requests through the sanitizer
+/// backpressure hint once it has degraded to coalesced-only collection or
+/// below: smaller buffers mean less staging memory between flushes.
 const BACKPRESSURE_BUFFER_RECORDS: usize = 4096;
 
-/// Per-kernel aggregation state for one object owned by one shard worker.
-///
-/// Each object hashes to exactly one shard, so one worker sees all of an
-/// object's records in buffer order — per-object state is built in the same
-/// sequence as the serial path, which is what makes the merged result
-/// byte-identical.
-#[derive(Debug)]
-struct KernelScratch {
-    read: bool,
-    write: bool,
-    intra: Option<ScratchIntra>,
+/// One resolved piece of an access record: `len` bytes at `offset` within
+/// `object`. A record inside one object resolves to one piece; a record
+/// crossing object boundaries resolves to one piece per object it covers.
+#[derive(Debug, Clone, Copy)]
+struct Resolved {
+    object: ObjectId,
+    offset: u64,
+    len: u32,
+    kind: AccessKind,
 }
-
-#[derive(Debug)]
-struct ScratchIntra {
-    size: u64,
-    bitmap: crate::accessmap::AccessBitmap,
-    ranges: RangeSet,
-    freq: FreqMap,
-}
-
-/// Which shard owns `object`. Plain modulo on the id keeps the assignment
-/// deterministic across runs (no hasher seeds involved).
-fn shard_of(object: ObjectId, shards: usize) -> usize {
-    (object.0 % shards as u64) as usize
-}
-
-/// Slow-path resolution: the pre-epoch-index descending `BTreeMap` walk,
-/// one per record, with no caching. Free function so shard workers can
-/// share the registry without borrowing the whole collector. Only the
-/// `slow_path` baseline hook routes through here; the fast path uses
-/// [`ObjectRegistry::resolve_cached`].
-fn resolve_in_slow(registry: &ObjectRegistry, addr: DevicePtr) -> Option<(ObjectId, u64)> {
-    let id = registry.resolve_slow(addr)?;
-    let base = registry.get(id)?.range.start;
-    Some((id, addr.offset_from(base)))
-}
-
-/// Records per dynamically-claimed resolution chunk in the parallel phase.
-const RESOLVE_CHUNK: usize = 1024;
-
-/// Below this many records, threading overhead dwarfs the work: aggregate
-/// on the calling thread (still through the shard scratch, so the merged
-/// result is identical).
-const PARALLEL_THRESHOLD: usize = 2048;
 
 /// Memo table from a shared frame list to its rendered call path: the
 /// frames are hash-consed `Arc<str>`s, so identical paths share every
@@ -252,9 +236,6 @@ pub struct Collector {
     /// side regardless of the Sec. 5.5 capacity estimate — the estimate is
     /// unreliable once the device has refused memory.
     force_cpu_maps: bool,
-    /// Per-shard aggregation scratch for the kernel currently executing
-    /// (parallel mode only); drained into `intra`/`accesses` at kernel end.
-    shard_scratch: Vec<HashMap<ObjectId, KernelScratch>>,
     /// The session governor: meters profiler-resident bytes against the
     /// configured [`ResourceBudget`] and walks the degradation ladder when
     /// a budget trips.
@@ -272,15 +253,17 @@ pub struct Collector {
     call_path_memo: parking_lot::Mutex<CallPathMemo>,
     /// Crash-consistent streaming-trace state, when `--stream-trace` is on.
     stream: Option<StreamState>,
-    /// Per-resolver-thread last-hit cache for the serial hot path (shard
-    /// workers carry stack-local caches instead). Epoch-validated: any
+    /// Last-hit cache for record resolution. Epoch-validated: any
     /// alloc/free since the fill forces a re-search.
     resolve_cache: ResolveCache,
     /// Reused scratch for the per-buffer resolve pass — one allocation per
     /// session instead of one per flushed buffer.
-    resolved_scratch: Vec<Option<(ObjectId, u64)>>,
+    resolved_scratch: Vec<Resolved>,
     /// Cumulative hot-path phase timings (resolve / aggregate / flush).
     phase: PhaseTimings,
+    /// Record-path work counters; `resolve_misses` is kept by
+    /// `resolve_cache` and filled in when read.
+    counters: CollectorCounters,
 }
 
 impl Collector {
@@ -308,7 +291,6 @@ impl Collector {
             device_capacity,
             degradations: Vec::new(),
             force_cpu_maps: false,
-            shard_scratch: Vec::new(),
             governor,
             frame_mirror: Vec::new(),
             call_path_memo: parking_lot::Mutex::new(HashMap::new()),
@@ -316,6 +298,7 @@ impl Collector {
             resolve_cache: ResolveCache::new(),
             resolved_scratch: Vec::new(),
             phase: PhaseTimings::default(),
+            counters: CollectorCounters::default(),
         }
     }
 
@@ -424,6 +407,14 @@ impl Collector {
     /// Cumulative hot-path phase timings (resolve / aggregate / flush).
     pub fn phase_timings(&self) -> PhaseTimings {
         self.phase
+    }
+
+    /// Deterministic work counters of the record path.
+    pub fn counters(&self) -> CollectorCounters {
+        CollectorCounters {
+            resolve_misses: self.resolve_cache.misses(),
+            ..self.counters
+        }
     }
 
     /// Adaptive map-placement decisions (one per fully-patched kernel).
@@ -663,193 +654,50 @@ impl Collector {
         }
     }
 
-    /// Parallel-mode record aggregation: resolves the buffer against the
-    /// memory map, then partitions the per-object aggregation across shard
-    /// workers. Each object belongs to exactly one shard, so per-object
-    /// update order equals buffer order — the same order the serial path
-    /// applies — and the merged result is byte-identical.
-    fn sharded_buffer(&mut self, records: &[MemAccessRecord], shards: usize) {
-        if self.shard_scratch.len() != shards {
-            self.shard_scratch = (0..shards).map(|_| HashMap::new()).collect();
-        }
-        let elem_size = self.opts.elem_size.max(1);
-        let monitor_intra = self.opts.analysis == AnalysisLevel::IntraObject;
-        let slow = self.opts.slow_path;
-        let mut resolved = std::mem::take(&mut self.resolved_scratch);
-        let registry = &self.registry;
-        let small = records.len() < PARALLEL_THRESHOLD;
-
-        // Phase A: resolve every record to (object, offset). Workers claim
-        // fixed-size chunks from a shared cursor (dynamic load balancing —
-        // resolution cost varies with map depth) and scatter results back
-        // under the output lock. Each worker carries its own last-hit cache:
-        // the registry cannot change mid-buffer, so cache hits are pure.
-        let t_resolve = Instant::now();
-        resolved.clear();
-        if small {
-            let mut cache = ResolveCache::new();
-            resolved.extend(records.iter().map(|r| {
-                if slow {
-                    resolve_in_slow(registry, r.addr)
-                } else {
-                    registry.resolve_cached(r.addr, &mut cache)
-                }
-            }));
-        } else {
-            resolved.resize(records.len(), None);
-            let out = parking_lot::Mutex::new(std::mem::take(&mut resolved));
-            let cursor = parking_lot::Mutex::new(0usize);
-            std::thread::scope(|s| {
-                for _ in 0..shards {
-                    s.spawn(|| {
-                        let mut cache = ResolveCache::new();
-                        loop {
-                            let start = {
-                                let mut c = cursor.lock();
-                                let claimed = *c;
-                                *c = (claimed + RESOLVE_CHUNK).min(records.len());
-                                claimed
-                            };
-                            if start >= records.len() {
-                                break;
-                            }
-                            let end = (start + RESOLVE_CHUNK).min(records.len());
-                            let local: Vec<Option<(ObjectId, u64)>> = records[start..end]
-                                .iter()
-                                .map(|r| {
-                                    if slow {
-                                        resolve_in_slow(registry, r.addr)
-                                    } else {
-                                        registry.resolve_cached(r.addr, &mut cache)
-                                    }
-                                })
-                                .collect();
-                            out.lock()[start..end].copy_from_slice(&local);
-                        }
-                    });
-                }
-            });
-            resolved = out.into_inner();
-        }
-        self.phase.resolve_ns += t_resolve.elapsed().as_nanos() as u64;
-
-        // Phase B: per-shard aggregation. Each worker owns its scratch map
-        // exclusively (`iter_mut` hands out disjoint `&mut`), so no locking
-        // is needed on the hot update path.
-        let aggregate = |shard_id: usize, map: &mut HashMap<ObjectId, KernelScratch>| {
-            for (r, res) in records.iter().zip(&resolved) {
-                let Some((obj, off)) = *res else { continue };
-                if shard_of(obj, shards) != shard_id {
-                    continue;
-                }
-                let entry = map.entry(obj).or_insert(KernelScratch {
-                    read: false,
-                    write: false,
-                    intra: None,
-                });
-                match r.kind {
-                    AccessKind::Read => entry.read = true,
-                    AccessKind::Write => entry.write = true,
-                }
-                if monitor_intra {
-                    let Some(o) = registry.get(obj) else { continue };
-                    if !o.source.is_analyzable() {
-                        continue;
-                    }
-                    let size = o.size();
-                    let si = entry.intra.get_or_insert_with(|| ScratchIntra {
-                        size,
-                        bitmap: AccessBitmap::new(size),
-                        ranges: RangeSet::new(),
-                        freq: FreqMap::new(size, elem_size),
-                    });
-                    si.bitmap.set_range(off, off + u64::from(r.size));
-                    si.ranges.insert(off, off + u64::from(r.size));
-                    si.freq.record(off, r.size);
-                }
-            }
-        };
-        let t_aggregate = Instant::now();
-        if small {
-            for (shard_id, map) in self.shard_scratch.iter_mut().enumerate() {
-                aggregate(shard_id, map);
-            }
-        } else {
-            let aggregate = &aggregate;
-            std::thread::scope(|s| {
-                for (shard_id, map) in self.shard_scratch.iter_mut().enumerate() {
-                    s.spawn(move || aggregate(shard_id, map));
-                }
-            });
-        }
-        self.phase.aggregate_ns += t_aggregate.elapsed().as_nanos() as u64;
-        self.resolved_scratch = resolved;
-        self.resolved_scratch.clear();
-    }
-
-    /// The pre-overhaul serial hot path, preserved behind the `slow_path`
-    /// hook: per-record `BTreeMap` resolution, per-record map updates, and
-    /// per-record governor remetering. The determinism suite pins the fast
-    /// path against baselines collected through here, and the overhead
-    /// bench measures (and enforces) the speedup over it.
-    fn serial_buffer_slow(&mut self, records: &[MemAccessRecord]) {
-        let elem_size = self.opts.elem_size.max(1);
-        // Frequency analytics are shed on the coalesced-only rung and below.
-        let keep_freq = self.governor.rung() < CollectionRung::CoalescedOnly;
-        let t0 = Instant::now();
-        for r in records {
-            let Some((obj, off)) = resolve_in_slow(&self.registry, r.addr) else {
-                continue;
-            };
-            let kind_flag = match r.kind {
-                AccessKind::Read => kernel_flags::READ,
-                AccessKind::Write => kernel_flags::WRITE,
-            };
-            self.touch_kernel_flags(obj, kind_flag);
-            if self.monitors_intra(obj) {
-                let size = self.registry.get(obj).map(|o| o.size()).unwrap_or_default();
-                let st = Self::intra_slot_in(&mut self.intra, obj)
-                    .get_or_insert_with(|| IntraState::new(obj, size));
-                st.data.bitmap.set_range(off, off + u64::from(r.size));
-                st.current_ranges.insert(off, off + u64::from(r.size));
-                if keep_freq {
-                    // Frequency map is zeroed per GPU API (Sec. 5.2): lazily
-                    // created at the kernel's first touch of the object.
-                    let freq = st.freq.get_or_insert_with(|| FreqMap::new(size, elem_size));
-                    freq.record(off, r.size);
-                    st.data
-                        .lifetime_freq
-                        .get_or_insert_with(|| FreqMap::new(size, elem_size))
-                        .record(off, r.size);
-                }
-                Self::remeter_intra(&mut self.governor, st);
-                self.touch_kernel_flags(obj, kernel_flags::INTRA);
-            }
-        }
-        self.phase.aggregate_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    /// The overhauled serial hot path: a resolve pass over the whole buffer
-    /// through the epoch-snapshot index and per-thread last-hit cache, then
-    /// an aggregate pass that batches runs of consecutive same-object
-    /// records so dense-table lookups happen once per run, with governor
-    /// remetering deferred to the end of the buffer. Byte-identical to
-    /// [`Collector::serial_buffer_slow`]: per-object update order is buffer
-    /// order in both, and the governor's metered footprint is only read at
-    /// end-of-API / kernel-end boundaries, which always come after the
-    /// flush that delivered these records.
-    fn serial_buffer_fast(&mut self, records: &[MemAccessRecord]) {
+    /// Aggregates one record buffer: a resolve pass over the whole buffer
+    /// through the epoch-snapshot index and the last-hit cache, then an
+    /// aggregate pass that batches runs of consecutive same-object pieces
+    /// so dense-table lookups happen once per run, with governor
+    /// remetering deferred to the end of the buffer. Per-object update
+    /// order is buffer order, and the governor's metered footprint is only
+    /// read at end-of-API / kernel-end boundaries, which always come after
+    /// the flush that delivered these records.
+    fn aggregate_buffer(&mut self, records: &[MemAccessRecord]) {
         // Pass 1: resolve. The registry cannot change mid-buffer, so every
-        // cache hit is exactly the search it elides.
+        // cache hit is exactly the search it elides. The sanitizer keeps a
+        // coalesced record inside one allocation, but not inside one pool
+        // tensor: a record that outgrows its first byte's window is split
+        // at object boundaries like a memcpy span.
         let t_resolve = Instant::now();
         let mut resolved = std::mem::take(&mut self.resolved_scratch);
         resolved.clear();
         resolved.reserve(records.len());
         let mut cache = self.resolve_cache;
         for r in records {
-            resolved.push(self.registry.resolve_cached(r.addr, &mut cache));
+            let end = r.addr.addr() + u64::from(r.size);
+            match self.registry.resolve_cached(r.addr, &mut cache) {
+                Some((object, offset)) if end <= cache.window_end() => resolved.push(Resolved {
+                    object,
+                    offset,
+                    len: r.size,
+                    kind: r.kind,
+                }),
+                _ => {
+                    self.counters.span_records += 1;
+                    for s in self.registry.resolve_span(r.addr, u64::from(r.size)) {
+                        resolved.push(Resolved {
+                            object: s.object,
+                            offset: s.offset,
+                            // A piece is never longer than its record.
+                            len: s.len as u32,
+                            kind: r.kind,
+                        });
+                    }
+                }
+            }
         }
         self.resolve_cache = cache;
+        self.counters.records += records.len() as u64;
         self.phase.resolve_ns += t_resolve.elapsed().as_nanos() as u64;
 
         // Pass 2: aggregate.
@@ -857,20 +705,11 @@ impl Collector {
         let elem_size = self.opts.elem_size.max(1);
         let keep_freq = self.governor.rung() < CollectionRung::CoalescedOnly;
         let monitor_intra = self.opts.analysis == AnalysisLevel::IntraObject;
-        let len = records.len();
-        let mut i = 0;
-        while i < len {
-            let Some((obj, _)) = resolved[i] else {
-                i += 1;
-                continue;
-            };
-            let mut j = i + 1;
-            while j < len && matches!(resolved[j], Some((o, _)) if o == obj) {
-                j += 1;
-            }
+        for run in resolved.chunk_by(|a, b| a.object == b.object) {
+            let obj = run[0].object;
             let mut flags = 0u8;
-            for r in &records[i..j] {
-                flags |= match r.kind {
+            for p in run {
+                flags |= match p.kind {
                     AccessKind::Read => kernel_flags::READ,
                     AccessKind::Write => kernel_flags::WRITE,
                 };
@@ -882,26 +721,24 @@ impl Collector {
                         let size = o.size();
                         let st = Self::intra_slot_in(&mut self.intra, obj)
                             .get_or_insert_with(|| IntraState::new(obj, size));
-                        for (r, res) in records[i..j].iter().zip(&resolved[i..j]) {
-                            let off = res.map(|(_, off)| off).unwrap_or_default();
-                            let end = off + u64::from(r.size);
-                            st.data.bitmap.set_range(off, end);
-                            st.current_ranges.insert(off, end);
+                        for p in run {
+                            let end = p.offset + u64::from(p.len);
+                            st.data.bitmap.set_range(p.offset, end);
+                            st.current_ranges.insert(p.offset, end);
                             if keep_freq {
                                 st.freq
                                     .get_or_insert_with(|| FreqMap::new(size, elem_size))
-                                    .record(off, r.size);
+                                    .record(p.offset, p.len);
                                 st.data
                                     .lifetime_freq
                                     .get_or_insert_with(|| FreqMap::new(size, elem_size))
-                                    .record(off, r.size);
+                                    .record(p.offset, p.len);
                             }
                         }
                     }
                 }
             }
             self.touch_kernel_flags(obj, flags);
-            i = j;
         }
         // Deferred remetering: once per touched object per buffer instead
         // of once per record, settled before any enforcement boundary reads
@@ -918,65 +755,6 @@ impl Collector {
         self.resolved_scratch = resolved;
     }
 
-    /// Drains the per-shard scratch into the persistent per-object state,
-    /// in ascending object-id order (the same order the serial path
-    /// attributes accesses in).
-    fn finish_kernel_sharded(&mut self, api_idx: usize) {
-        let mut merged: Vec<(ObjectId, KernelScratch)> = self
-            .shard_scratch
-            .iter_mut()
-            .flat_map(|m| m.drain())
-            .collect();
-        merged.sort_by_key(|(id, _)| *id);
-        let elem_size = self.opts.elem_size.max(1);
-        // On the coalesced-only rung and below, the per-shard scratch still
-        // builds transient frequency maps, but nothing frequency-derived is
-        // persisted — the same observable outcome as the serial gating.
-        let keep_freq = self.governor.rung() < CollectionRung::CoalescedOnly;
-        for (obj, scratch) in merged {
-            self.note_access(api_idx, obj, scratch.read, scratch.write, AccessVia::Kernel);
-            let Some(si) = scratch.intra else { continue };
-            let st = Self::intra_slot_in(&mut self.intra, obj)
-                .get_or_insert_with(|| IntraState::new(obj, si.size));
-            if let Err(e) = st.data.bitmap.merge(&si.bitmap) {
-                // The object was re-registered with a different size
-                // mid-kernel — impossible through the API, but never
-                // silently truncate if it happens.
-                self.degradations.push(DegradationRecord::new(
-                    "collector",
-                    format!("dropped intra maps for {obj}: {e}"),
-                ));
-                continue;
-            }
-            if !si.ranges.is_empty() {
-                st.data.per_api.push((api_idx, si.ranges));
-            }
-            if keep_freq {
-                let cov = si.freq.coefficient_of_variation_pct();
-                let better = st
-                    .data
-                    .nuaf_peak
-                    .as_ref()
-                    .map(|(_, best, _)| cov > *best)
-                    .unwrap_or(true);
-                if better && cov > 0.0 {
-                    st.data.nuaf_peak = Some((api_idx, cov, si.freq.histogram()));
-                }
-                let lf = st
-                    .data
-                    .lifetime_freq
-                    .get_or_insert_with(|| FreqMap::new(si.size, elem_size));
-                if let Err(e) = lf.merge(&si.freq) {
-                    self.degradations.push(DegradationRecord::new(
-                        "collector",
-                        format!("dropped lifetime frequencies for {obj}: {e}"),
-                    ));
-                }
-            }
-            Self::remeter_intra(&mut self.governor, st);
-        }
-    }
-
     /// Finishes the currently-executing kernel: attributes object accesses
     /// to the kernel's trace entry and finalizes intra-object maps.
     fn finish_kernel(&mut self, touched: &[TouchedObject]) {
@@ -984,21 +762,17 @@ impl Collector {
         // Object-level attribution: prefer the per-record set (needed for
         // pool tensors) when fully patched; otherwise the hit-flag summary.
         if self.current_mode == PatchMode::Full {
-            if self.opts.collector_shards.max(1) > 1 {
-                self.finish_kernel_sharded(api_idx);
-            } else {
-                let mut objs: Vec<ObjectId> = self.kernel_touched.clone();
-                objs.sort();
-                for obj in objs {
-                    let f = self.kernel_flag_table[obj.0 as usize];
-                    self.note_access(
-                        api_idx,
-                        obj,
-                        f & kernel_flags::READ != 0,
-                        f & kernel_flags::WRITE != 0,
-                        AccessVia::Kernel,
-                    );
-                }
+            let mut objs: Vec<ObjectId> = self.kernel_touched.clone();
+            objs.sort();
+            for obj in objs {
+                let f = self.kernel_flag_table[obj.0 as usize];
+                self.note_access(
+                    api_idx,
+                    obj,
+                    f & kernel_flags::READ != 0,
+                    f & kernel_flags::WRITE != 0,
+                    AccessVia::Kernel,
+                );
             }
         } else {
             for t in touched {
@@ -1070,7 +844,7 @@ impl Collector {
     }
 
     /// Coalesced-only rung: drops per-object frequency maps (both the
-    /// per-kernel scratch and the lifetime accumulation), crediting their
+    /// per-kernel map and the lifetime accumulation), crediting their
     /// footprint back to the governor. Bitmaps and range sets survive.
     fn shed_frequency_maps(&mut self) {
         for st in self.intra.iter_mut().filter_map(Option::as_mut) {
@@ -1253,8 +1027,8 @@ impl SanitizerHooks for Collector {
             _ => {}
         }
         // Deterministic governance boundary: every hook sees the same API
-        // sequence regardless of sharding or kernel workers, so budget
-        // trips (and stream deltas) land identically across modes.
+        // sequence regardless of kernel workers, so budget trips (and
+        // stream deltas) land identically across worker counts.
         self.enforce_budget();
         self.stream_flush();
     }
@@ -1326,14 +1100,7 @@ impl SanitizerHooks for Collector {
         if self.current_mode != PatchMode::Full {
             return;
         }
-        let shards = self.opts.collector_shards.max(1);
-        if shards > 1 {
-            self.sharded_buffer(records, shards);
-        } else if self.opts.slow_path {
-            self.serial_buffer_slow(records);
-        } else {
-            self.serial_buffer_fast(records);
-        }
+        self.aggregate_buffer(records);
     }
 
     fn on_kernel_end(
@@ -1371,11 +1138,10 @@ impl SanitizerHooks for Collector {
 
     fn collection_hint(&self) -> CollectionHint {
         if self.governor.rung() >= CollectionRung::CoalescedOnly {
-            // Backpressure: once degraded, ask the sanitizer to coalesce
-            // warp accesses and to flush smaller record buffers, shrinking
-            // both the record stream and the staging memory between flushes.
+            // Backpressure: once degraded, ask the sanitizer to flush
+            // smaller record buffers, shrinking the staging memory between
+            // flushes.
             CollectionHint {
-                coalesce: true,
                 buffer_capacity: Some(BACKPRESSURE_BUFFER_RECORDS),
             }
         } else {
@@ -1765,17 +1531,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_collection_matches_serial() {
-        // Same program observed twice: serial collector vs 4-shard
-        // collector (with the parallel threshold far exceeded by a 64 KiB
-        // footprint), asserting identical aggregation state.
-        let run = |shards: usize| {
+    fn coalesced_collection_matches_uncoalesced() {
+        // Same program observed twice: once with the sanitizer merging warp
+        // accesses at element-aligned junctions, once with one record per
+        // access, asserting identical aggregation state.
+        let run = |merge: bool| {
             let mut ctx = DeviceContext::new_default();
             ctx.sanitizer_mut().set_buffer_capacity(512); // force many flushes
-            let c = attach(
-                &mut ctx,
-                ProfilerOptions::intra_object().with_collector_shards(shards),
-            );
+            ctx.sanitizer_mut().set_coalescing(merge);
+            ctx.sanitizer_mut().set_coalesce_alignment(4);
+            let c = attach(&mut ctx, ProfilerOptions::intra_object());
             let n = 4096u64;
             let a = ctx.malloc(n * 4, "a").unwrap();
             let b = ctx.malloc(n * 4, "b").unwrap();
@@ -1796,17 +1561,21 @@ mod tests {
             )
             .unwrap();
             ctx.free(a).unwrap();
-            c
+            let merged = ctx.stats().coalesced_records;
+            (c, merged)
         };
-        let serial = run(1);
-        let sharded = run(4);
-        let (s, p) = (serial.lock(), sharded.lock());
+        let (serial, unmerged) = run(false);
+        let (coalesced, merged) = run(true);
+        assert_eq!(unmerged, 0);
+        assert!(merged > 0, "the kernel's accesses must actually merge");
+        let (s, p) = (serial.lock(), coalesced.lock());
+        assert!(p.counters().records < s.counters().records);
         assert_eq!(s.accesses(), p.accesses());
         let (si, pi) = (s.intra_data(), p.intra_data());
         assert_eq!(si.len(), pi.len());
         for (a, b) in si.iter().zip(&pi) {
             assert_eq!(a.object, b.object);
-            assert_eq!(a.bitmap.count_set(), b.bitmap.count_set());
+            assert_eq!(a.bitmap, b.bitmap);
             assert_eq!(a.per_api.len(), b.per_api.len());
             for ((ia, ra), (ib, rb)) in a.per_api.iter().zip(&b.per_api) {
                 assert_eq!(ia, ib);
@@ -1825,6 +1594,64 @@ mod tests {
             );
         }
         assert!(p.degradations().is_empty(), "{:?}", p.degradations());
+    }
+
+    #[test]
+    fn coalesced_record_across_adjacent_pool_tensors_is_split() {
+        // Regression: the sanitizer only keeps a merged record inside one
+        // allocation, and the pool's slab is one allocation. One warp
+        // writing 1 KiB across two adjacent 512-byte tensors became one
+        // record that resolved to the first tensor: the second tensor was
+        // reported as an unused allocation and bytes were set past the
+        // first tensor's end. The collector now splits such records.
+        use crate::patterns::PatternKind;
+        use crate::profiler::Profiler;
+        use gpu_sim::pool::{CachingPool, POOL_ALIGN};
+        let run = |merge: bool| {
+            let mut ctx = DeviceContext::new_default();
+            let profiler = Profiler::attach(
+                &mut ctx,
+                ProfilerOptions::intra_object().with_pool_tracking(),
+            );
+            ctx.sanitizer_mut().set_coalescing(merge);
+            let mut pool = CachingPool::reserve(&mut ctx, 1 << 16).unwrap();
+            profiler.observe_pool(&mut pool);
+            let a = pool.alloc(&mut ctx, POOL_ALIGN, "a").unwrap();
+            let b = pool.alloc(&mut ctx, POOL_ALIGN, "b").unwrap();
+            assert_eq!(b, a + POOL_ALIGN);
+            // One 16-thread warp; each thread stores 64 contiguous bytes.
+            ctx.launch(
+                "fill",
+                LaunchConfig::cover(16, 16).unwrap(),
+                StreamId::DEFAULT,
+                move |t| {
+                    let base = a + t.global_x() * 64;
+                    for k in 0..16 {
+                        t.store_f32(base + k * 4, 1.0);
+                    }
+                },
+            )
+            .unwrap();
+            pool.free(a).unwrap();
+            pool.free(b).unwrap();
+            pool.release(&mut ctx).unwrap();
+            let report = profiler.report(&ctx);
+            let counters = profiler.collector().lock().counters();
+            (report, counters)
+        };
+        let (merged, counters) = run(true);
+        let (unmerged, _) = run(false);
+        assert_eq!(
+            counters.records, 1,
+            "the warp's stores merge into one record"
+        );
+        assert_eq!(counters.span_records, 1, "and that record is split");
+        assert!(
+            !merged.has_pattern(PatternKind::UnusedAllocation),
+            "{}",
+            merged.render_text()
+        );
+        assert_eq!(merged.render_text(), unmerged.render_text());
     }
 
     #[test]

@@ -170,10 +170,12 @@ pub enum CollectionRung {
     /// Everything the options ask for: per-element bitmaps, per-API range
     /// sets, and access-frequency maps.
     FullAccessMaps,
-    /// Frequency maps are dropped and warp-level coalescing is requested
-    /// from the sanitizer; bitmaps and range sets survive, so
-    /// overallocation and structured-access detection still work (NUAF
-    /// does not). Modeled on CUTHERMO's aggregate fallback.
+    /// Frequency maps are dropped and the sanitizer is asked for smaller
+    /// record buffers; bitmaps and range sets survive, so overallocation
+    /// and structured-access detection still work (NUAF does not).
+    /// Modeled on CUTHERMO's aggregate fallback. Access records are merged
+    /// on every rung; the name (shown in report text) dates from when this
+    /// rung switched merging on.
     CoalescedOnly,
     /// Intra-object collection is additionally thinned by multiplying the
     /// sampling period by [`SAMPLING_DEMOTION_SCALE`] — GPA-style

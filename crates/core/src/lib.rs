@@ -75,7 +75,7 @@ pub mod trace_stream;
 
 pub use advisor::{estimate as estimate_savings, SavingsEstimate};
 pub use analyzer::{analyze, build_trace_view};
-pub use collector::{Collector, PhaseTimings};
+pub use collector::{Collector, CollectorCounters, PhaseTimings};
 pub use error::{ProfilerError, TraceError};
 pub use governor::{CancelToken, CollectionRung, ResourceBudget, SessionGovernor};
 pub use guidance::OverallocGuidance;

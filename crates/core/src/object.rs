@@ -135,7 +135,7 @@ struct IndexEntry {
     id: ObjectId,
 }
 
-/// Per-resolver-thread last-hit cache for [`ObjectRegistry::resolve_cached`].
+/// Last-hit cache for [`ObjectRegistry::resolve_cached`].
 ///
 /// Holds the address window `[lo, hi)` inside which every address resolves
 /// to `id` (the window is clamped to exclude nested pool tensors), plus the
@@ -150,6 +150,8 @@ pub struct ResolveCache {
     /// to `lo`, which may sit past a nested tensor).
     base: u64,
     id: ObjectId,
+    /// Lookups that missed and searched the index.
+    misses: u64,
 }
 
 impl Default for ResolveCache {
@@ -161,6 +163,7 @@ impl Default for ResolveCache {
             hi: 0,
             base: 0,
             id: ObjectId(u64::MAX),
+            misses: 0,
         }
     }
 }
@@ -169,6 +172,19 @@ impl ResolveCache {
     /// Creates an empty (always-miss) cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// End of the window the last successful lookup resolved in: every
+    /// address from the looked-up one up to (excluding) this resolves to
+    /// the same object.
+    pub fn window_end(&self) -> u64 {
+        self.hi
+    }
+
+    /// Number of lookups that missed the cached window and searched the
+    /// interval index.
+    pub fn misses(&self) -> u64 {
+        self.misses
     }
 }
 
@@ -288,37 +304,9 @@ impl ObjectRegistry {
     /// Queries the flat snapshot index: binary search for the last interval
     /// starting at or below `addr`, then a short backward containment scan
     /// that stops as soon as the prefix-max end rules out every earlier
-    /// interval. Semantically identical to [`ObjectRegistry::resolve_slow`].
+    /// interval.
     pub fn resolve(&self, addr: DevicePtr) -> Option<ObjectId> {
         self.resolve_window(addr.addr()).map(|(e, _, _)| e.id)
-    }
-
-    /// The pre-snapshot interval lookup: a descending walk over the live
-    /// `BTreeMap`. Kept as the `slow-path` baseline hook (determinism tests
-    /// pin the new hot path against it) and as the reference semantics for
-    /// the registry property tests.
-    pub fn resolve_slow(&self, addr: DevicePtr) -> Option<ObjectId> {
-        // Walk candidate bases at or below `addr`, nearest first. The first
-        // candidate containing `addr` is the innermost allocation because
-        // inner objects (pool tensors) start at higher-or-equal bases than
-        // their enclosing slab.
-        for (_, &id) in self.live.range(..=(addr.addr(), true)).rev() {
-            let obj = &self.objects[id.0 as usize];
-            if obj.range.contains(addr) {
-                return Some(id);
-            }
-            // Bases strictly below a non-containing object can still contain
-            // `addr` (the enclosing slab), so keep scanning a few steps.
-            // Ranges never partially overlap, so once we pass an object whose
-            // *end* is at or below `addr`'s containing slab start we could
-            // stop; in practice nesting depth is ≤ 2, so the scan is short.
-            if obj.range.end().addr() <= addr.addr() && obj.source != ObjectSource::PoolTensor {
-                // A non-tensor object entirely below addr: only an enclosing
-                // slab could still match, keep going.
-                continue;
-            }
-        }
-        None
     }
 
     /// Cache-assisted interval lookup returning `(object, byte offset)`.
@@ -336,6 +324,7 @@ impl ObjectRegistry {
         if cache.epoch == self.epoch && cache.lo <= a && a < cache.hi {
             return Some((cache.id, a - cache.base));
         }
+        cache.misses += 1;
         let (e, lo, hi) = self.resolve_window(a)?;
         *cache = ResolveCache {
             epoch: self.epoch,
@@ -343,6 +332,7 @@ impl ObjectRegistry {
             hi,
             base: e.start,
             id: e.id,
+            misses: cache.misses,
         };
         Some((e.id, a - e.start))
     }

@@ -46,17 +46,15 @@ pub struct Profiler {
 impl Profiler {
     /// Attaches a profiler to `ctx` via the Sanitizer-style instrumentation
     /// API. All GPU APIs invoked on `ctx` from this point on are observed.
+    ///
+    /// Turns on the sanitizer's warp-level access merging (the paper's
+    /// "merging memory accesses", Sec. 5.5) with merge junctions pinned to
+    /// the element grid, so per-element access frequencies (the NUAF
+    /// detector's input) are exactly those of the unmerged records.
     pub fn attach(ctx: &mut DeviceContext, options: ProfilerOptions) -> Self {
-        ctx.sanitizer_mut()
-            .set_coalescing(options.coalesce_accesses);
-        // Pin merge junctions to the element grid so per-element access
-        // frequencies (the NUAF detector's input) are identical with and
-        // without coalescing.
-        ctx.sanitizer_mut()
-            .set_coalesce_alignment(options.elem_size.max(1));
-        // The slow-path hook measures the unmemoized baseline end to end,
-        // so it also disables the simulator-side per-pc allocation memo.
-        ctx.sanitizer_mut().set_pc_memo(!options.slow_path);
+        let sanitizer = ctx.sanitizer_mut();
+        sanitizer.set_coalescing(true);
+        sanitizer.set_coalesce_alignment(options.elem_size.max(1));
         let collector = Arc::new(Mutex::new(Collector::new(
             options,
             ctx.config().device_memory_bytes,

@@ -18,7 +18,7 @@
 //! re-analyzes the recovered prefix. The writer is driven by the
 //! collector's [`StreamState`] at deterministic boundaries (end of each
 //! API callback, kernel end), so the on-disk frame sequence is identical
-//! across serial, sharded, and parallel-kernel collection modes.
+//! for every kernel worker count.
 
 use crate::collector::Collector;
 use crate::error::ProfilerError;

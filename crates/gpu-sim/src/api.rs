@@ -1192,9 +1192,8 @@ impl DeviceContext {
         }
         // Only fault-free launches get here, so the budget is the grid.
         debug_assert_eq!(thread_budget, cfg.total_threads());
-        let recycle = self.sanitizer.pc_memo();
         let staging: Vec<AccessSink> = (0..workers)
-            .map(|_| self.sink_arena.staging_sink(mode, recycle))
+            .map(|_| self.sink_arena.staging_sink(mode))
             .collect();
         let results: Vec<std::thread::Result<(AccessSink, KernelCounters, u64)>> =
             std::thread::scope(|s| {
@@ -1244,10 +1243,9 @@ impl DeviceContext {
         self.sink_arena.serial_sink(
             mode,
             capacity,
-            self.sanitizer.coalescing() || hint.coalesce,
+            self.sanitizer.coalescing(),
             self.sanitizer.coalesce_alignment(),
             self.alloc.epoch(),
-            self.sanitizer.pc_memo(),
         )
     }
 

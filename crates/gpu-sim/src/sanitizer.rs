@@ -106,10 +106,10 @@ const NO_WARP: u64 = u64::MAX;
 const CANDIDATE_CAP: usize = 1 << 16;
 
 /// Direct-indexed merge-candidate table: the open record index per program
-/// counter, tagged with the warp that left it. Replaces a hashed
-/// `(warp, pc) → idx` map: simulated threads execute sequentially, so at
-/// any moment at most one warp has an open record at a given pc, and a
-/// plain slot load beats even a cheap hash on the per-access fast path.
+/// counter, tagged with the warp that left it. Indexing by pc alone is
+/// enough because simulated threads execute sequentially, so at any moment
+/// at most one warp has an open record at a given pc, and a plain slot load
+/// beats even a cheap hash on the per-access fast path.
 #[derive(Debug, Default)]
 struct CandidateMap {
     /// `(warp, record idx)` per pc; `warp == NO_WARP` means empty.
@@ -144,85 +144,6 @@ impl CandidateMap {
     }
 }
 
-/// Cheap deterministic hasher for the pre-overhaul `(warp, pc)` candidate
-/// keys, kept verbatim for the slow-path baseline. Hash-flooding
-/// resistance is pointless for keys derived from simulated thread ids.
-#[derive(Default)]
-struct MixHasher(u64);
-
-impl std::hash::Hasher for MixHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 32;
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-}
-
-type HashedCandidates =
-    std::collections::HashMap<(u64, u32), usize, std::hash::BuildHasherDefault<MixHasher>>;
-
-/// Merge-candidate storage: the overhauled direct-indexed table, or the
-/// pre-overhaul hashed map the slow-path baseline measures against. Both
-/// sides answer "which open record would this `(warp, pc)` extend" — the
-/// direct table may evict a slot the hashed map would keep, but any merge
-/// either one performs respects the same contiguity/alignment/allocation
-/// rules, so downstream analyses see identical byte coverage either way.
-#[derive(Debug)]
-enum CandidateTable {
-    Direct(CandidateMap),
-    Hashed(HashedCandidates),
-}
-
-impl Default for CandidateTable {
-    fn default() -> Self {
-        CandidateTable::Direct(CandidateMap::default())
-    }
-}
-
-impl CandidateTable {
-    fn hashed() -> Self {
-        CandidateTable::Hashed(HashedCandidates::default())
-    }
-
-    #[inline]
-    fn get(&self, warp: u64, pc: u32) -> Option<usize> {
-        match self {
-            CandidateTable::Direct(t) => t.get(warp, pc),
-            CandidateTable::Hashed(m) => m.get(&(warp, pc)).copied(),
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, warp: u64, pc: u32, idx: usize) {
-        match self {
-            CandidateTable::Direct(t) => t.insert(warp, pc, idx),
-            CandidateTable::Hashed(m) => {
-                m.insert((warp, pc), idx);
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            CandidateTable::Direct(t) => t.clear(),
-            CandidateTable::Hashed(m) => m.clear(),
-        }
-    }
-}
-
 /// Cached window `[start, end)` of the last containing allocation, with a
 /// copy of that object's `touched` flags (kept in sync by
 /// [`AccessSink::note_access`] so repeat hits skip the `touched` list
@@ -238,14 +159,11 @@ struct LastHit {
 /// A collection-pressure hint a tool returns before each kernel launch.
 ///
 /// This is the backpressure channel of the resource governor: a tool under
-/// memory pressure can request cheaper record delivery without changing the
+/// memory pressure can request smaller record buffers without changing the
 /// [`PatchMode`] contract. The default hint changes nothing, so tools that
 /// never degrade observe byte-identical behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CollectionHint {
-    /// Request warp-level access coalescing for this kernel even if the
-    /// sanitizer-wide setting is off.
-    pub coalesce: bool,
     /// Cap the device-side record-buffer capacity (in records) for this
     /// kernel; `None` keeps the sanitizer-wide capacity.
     pub buffer_capacity: Option<usize>,
@@ -298,7 +216,7 @@ pub trait SanitizerHooks {
 
     /// Queried before each kernel launch (after
     /// [`SanitizerHooks::on_kernel_begin`]); lets a tool under resource
-    /// pressure ask for cheaper record delivery. See [`CollectionHint`].
+    /// pressure ask for smaller record buffers. See [`CollectionHint`].
     fn collection_hint(&self) -> CollectionHint {
         CollectionHint::default()
     }
@@ -362,13 +280,6 @@ pub struct Sanitizer {
     /// of this, so per-element frequency counts (element width = this
     /// alignment) are preserved exactly. 1 = unrestricted.
     coalesce_alignment: u32,
-    /// When set (the default), serial sinks keep a per-pc memo of the
-    /// containing allocation, warmed by one thread and hit by every later
-    /// thread executing the same instruction. Hits are validated by
-    /// containment and the memo is wiped whenever the allocator epoch
-    /// changes, so lookups are exactly [`DeviceAllocator::find_containing`].
-    /// Tools turn this off to measure the unmemoized baseline.
-    pc_memo: bool,
     overhead: OverheadModel,
 }
 
@@ -391,7 +302,6 @@ impl Default for Sanitizer {
             buffer_capacity: 16 * 1024,
             coalescing: false,
             coalesce_alignment: 1,
-            pc_memo: true,
             overhead: OverheadModel::default(),
         }
     }
@@ -451,18 +361,6 @@ impl Sanitizer {
     /// The current merge-junction alignment in bytes.
     pub fn coalesce_alignment(&self) -> u32 {
         self.coalesce_alignment
-    }
-
-    /// Enables or disables the per-pc containing-allocation memo (on by
-    /// default; see [`Sanitizer`]'s field docs). Turning it off never
-    /// changes results — only how often the Fig. 5 binary search runs.
-    pub fn set_pc_memo(&mut self, on: bool) {
-        self.pc_memo = on;
-    }
-
-    /// Whether the per-pc containing-allocation memo is enabled.
-    pub fn pc_memo(&self) -> bool {
-        self.pc_memo
     }
 
     /// The instrumentation cost model.
@@ -526,13 +424,12 @@ impl Sanitizer {
         }
     }
 
-    /// Merges every tool's [`CollectionHint`]: coalescing requests OR
-    /// together, buffer caps take the minimum.
+    /// Merges every tool's [`CollectionHint`]: buffer caps take the
+    /// minimum.
     pub(crate) fn dispatch_collection_hint(&self) -> CollectionHint {
         let mut merged = CollectionHint::default();
         for h in &self.hooks {
             let hint = h.lock().collection_hint();
-            merged.coalesce |= hint.coalesce;
             merged.buffer_capacity = match (merged.buffer_capacity, hint.buffer_capacity) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
@@ -637,7 +534,7 @@ const EMPTY_HINT: (u64, u64) = (NO_ALLOC, 0);
 #[derive(Debug)]
 pub(crate) struct SinkArena {
     buffer: Vec<MemAccessRecord>,
-    merge_candidates: CandidateTable,
+    merge_candidates: CandidateMap,
     /// Per-pc `(start, end)` of the containing allocation, or
     /// [`EMPTY_HINT`].
     pc_hints: Vec<(u64, u64)>,
@@ -651,7 +548,7 @@ impl Default for SinkArena {
     fn default() -> Self {
         SinkArena {
             buffer: Vec::new(),
-            merge_candidates: CandidateTable::default(),
+            merge_candidates: CandidateMap::default(),
             pc_hints: Vec::new(),
             hint_epoch: u64::MAX,
             staged: Vec::new(),
@@ -670,18 +567,7 @@ impl SinkArena {
         coalesce: bool,
         align: u32,
         alloc_epoch: u64,
-        pc_memo: bool,
     ) -> AccessSink {
-        if !pc_memo {
-            // Slow-path baseline: allocate per-launch storage and use the
-            // pre-overhaul hashed candidate map, exactly as the old sinks
-            // did. The arena stays untouched (its warm memo survives for
-            // a later fast-path attach; the epoch check below covers any
-            // staleness).
-            let mut sink = AccessSink::new(mode, capacity, coalesce, align);
-            sink.merge_candidates = CandidateTable::hashed();
-            return sink;
-        }
         let mut buffer = std::mem::take(&mut self.buffer);
         buffer.clear();
         if mode == PatchMode::Full {
@@ -697,38 +583,28 @@ impl SinkArena {
         let mut sink = AccessSink::new(mode, capacity, coalesce, align);
         sink.buffer = buffer;
         sink.merge_candidates = merge_candidates;
-        sink.pc_memo = true;
         sink.pc_hints = pc_hints;
-        sink.recycled = true;
         sink
     }
 
     /// Builds a worker-local staging sink for parallel block execution,
-    /// reusing a previously returned arena when one is available (unless
-    /// `recycle` is off — the slow-path baseline allocates per launch and
-    /// keeps no per-pc memo). Staging sinks never dispatch to tools; their
-    /// records drain through [`AccessSink::merge_staged`].
-    pub(crate) fn staging_sink(&mut self, mode: PatchMode, recycle: bool) -> AccessSink {
+    /// reusing a previously returned arena when one is available. Staging
+    /// sinks never dispatch to tools; their records drain through
+    /// [`AccessSink::merge_staged`].
+    pub(crate) fn staging_sink(&mut self, mode: PatchMode) -> AccessSink {
         let mut sink = AccessSink::new(mode, 0, false, 1);
         // A staging sink never flushes mid-kernel.
         sink.capacity = usize::MAX;
         sink.staging = true;
-        sink.pc_memo = recycle;
-        if recycle {
-            sink.staged = self.staged.pop().unwrap_or_default();
-            sink.recycled = true;
-        }
+        sink.staged = self.staged.pop().unwrap_or_default();
         sink
     }
 
-    /// Takes a finished sink's storage back for the next launch (a no-op
-    /// for per-launch slow-path sinks). The per-pc memo is kept as-is —
-    /// entries can only go stale through an allocator mutation, which
-    /// bumps the epoch checked at the next [`SinkArena::serial_sink`].
+    /// Takes a finished sink's storage back for the next launch. The
+    /// per-pc memo is kept as-is — entries can only go stale through an
+    /// allocator mutation, which bumps the epoch checked at the next
+    /// [`SinkArena::serial_sink`].
     pub(crate) fn reclaim(&mut self, mut sink: AccessSink) {
-        if !sink.recycled {
-            return;
-        }
         if sink.staging {
             sink.staged.clear();
             self.staged.push(sink.staged);
@@ -769,7 +645,7 @@ pub struct AccessSink {
     /// Open merge candidates: `(warp, pc)` → buffer index of the record a
     /// neighbouring lane's access at the same instruction would extend.
     /// Rebuilt per flush (indices are invalidated when the buffer drains).
-    merge_candidates: CandidateTable,
+    merge_candidates: CandidateMap,
     /// One-entry cache of the allocation containing the previous access,
     /// mirroring its `touched` flags so repeat hits skip both the binary
     /// search and the map update.
@@ -779,8 +655,6 @@ pub struct AccessSink {
     /// by containment, so a stale entry can only cause one extra binary
     /// search, never a wrong attribution.
     pc_hints: Vec<(u64, u64)>,
-    /// Whether new lookups populate `pc_hints`.
-    pc_memo: bool,
     /// Touched-object hit flags, in first-touch order. A kernel touches few
     /// distinct objects and lookups only happen on `last_hit`/`pc_hints`
     /// misses, so a linear scan beats the `BTreeMap` it replaced;
@@ -809,10 +683,6 @@ pub struct AccessSink {
     staging: bool,
     /// Raw records staged by this worker, grouped into block spans.
     staged: StagedArena,
-    /// Storage was lent by a [`SinkArena`] and must be returned via
-    /// [`SinkArena::reclaim`]; per-launch (slow-path) sinks leave it unset
-    /// and are simply dropped.
-    recycled: bool,
 }
 
 impl std::fmt::Debug for AccessSink {
@@ -834,10 +704,9 @@ impl AccessSink {
             capacity,
             coalesce,
             coalesce_align: u64::from(align.max(1)),
-            merge_candidates: CandidateTable::default(),
+            merge_candidates: CandidateMap::default(),
             last_hit: None,
             pc_hints: Vec::new(),
-            pc_memo: false,
             touched: Vec::new(),
             flushes: 0,
             records_seen: 0,
@@ -846,7 +715,6 @@ impl AccessSink {
             fault: None,
             staging: false,
             staged: StagedArena::default(),
-            recycled: false,
         }
     }
 
@@ -1003,7 +871,7 @@ impl AccessSink {
                 self.alloc_lookups += 1;
                 let obj = alloc.find_containing(addr)?;
                 let window = (obj.ptr.addr(), obj.ptr.addr() + obj.size);
-                if self.pc_memo && (pc as usize) < PC_MEMO_CAP {
+                if (pc as usize) < PC_MEMO_CAP {
                     let i = pc as usize;
                     if i >= self.pc_hints.len() {
                         self.pc_hints.resize(i + 1, EMPTY_HINT);

@@ -1,15 +1,9 @@
-//! Determinism of the low-overhead collection pipeline (Sec. 5.5) and of
-//! parallel block execution: for every registered workload, sharded
-//! aggregation, warp-level access coalescing, and multi-worker kernel
-//! execution must produce a report and a serialized trace (format v2 text)
-//! byte-identical to the serial baseline's. Anything less would make the
-//! overhead knobs unusable — turning them on could change findings.
-//!
-//! The same contract pins the overhauled hot path (flat epoch-snapshot
-//! index, resolve caches, pc-hint memo, staged sink arenas) against the
-//! pre-overhaul pipeline, which stays reachable via
-//! [`ProfilerOptions::with_slow_path`] precisely so this suite can hold
-//! the fast paths to byte-identical output.
+//! Determinism of the collection pipeline (Sec. 5.5) and of parallel block
+//! execution: for every registered workload, the profiler's merged access
+//! records and multi-worker kernel execution must produce a report and a
+//! serialized trace (format v2 text) byte-identical to a single-worker run
+//! that delivers every access as its own record. Anything less would mean
+//! merging or parallel execution could change findings.
 
 use drgpum::prelude::*;
 use drgpum::profiler::trace_io;
@@ -22,10 +16,13 @@ use drgpum::workloads::registry::{RunConfig, WorkloadSpec};
 ///
 /// The context is built through [`DeviceContext::with_config`], which takes
 /// the worker count verbatim — the sweep must not be perturbed by a
-/// `DRGPUM_KERNEL_WORKERS` override in the environment.
-fn profile(spec: &WorkloadSpec, mut options: ProfilerOptions, workers: usize) -> (String, String) {
+/// `DRGPUM_KERNEL_WORKERS` override in the environment. With `merge` off,
+/// the sanitizer's access merging is switched back off after attaching, so
+/// the collector sees one record per executed access.
+fn profile(spec: &WorkloadSpec, workers: usize, merge: bool) -> (String, String) {
     let sim = SimConfig::default().with_kernel_workers(workers);
     let mut ctx = DeviceContext::with_config(sim);
+    let mut options = ProfilerOptions::intra_object();
     if let Some(elem) = spec.elem_size_hint {
         options.elem_size = elem;
     }
@@ -33,6 +30,7 @@ fn profile(spec: &WorkloadSpec, mut options: ProfilerOptions, workers: usize) ->
         options.track_pool_tensors = true;
     }
     let profiler = Profiler::attach(&mut ctx, options);
+    ctx.sanitizer_mut().set_coalescing(merge);
     let cfg = RunConfig {
         pool_observer: spec
             .uses_pool
@@ -50,91 +48,24 @@ fn profile(spec: &WorkloadSpec, mut options: ProfilerOptions, workers: usize) ->
 
 #[test]
 fn parallel_and_coalesced_collection_match_serial_on_every_workload() {
-    // An odd shard count exercises uneven object distribution across
-    // shards; 3 also differs from any machine's core count, so the result
-    // cannot secretly depend on available parallelism. Worker count 8
-    // exceeds most grids' block count, exercising the workers > blocks
-    // clamp; 2 exercises genuine block interleaving.
-    let modes = [
-        ("serial-collect", ProfilerOptions::intra_object()),
-        (
-            "sharded",
-            ProfilerOptions::intra_object().with_collector_shards(3),
-        ),
-        (
-            "coalesced",
-            ProfilerOptions::intra_object().with_coalescing(),
-        ),
-    ];
+    // Worker count 8 exceeds most grids' block count, exercising the
+    // workers > blocks clamp; 2 exercises genuine block interleaving.
     for spec in drgpum::workloads::all() {
-        let baseline = profile(&spec, ProfilerOptions::intra_object(), 1);
+        let baseline = profile(&spec, 1, false);
         for workers in [1usize, 2, 8] {
-            for (mode, options) in &modes {
-                if workers == 1 && *mode == "serial-collect" {
-                    continue; // that IS the baseline
-                }
-                let got = profile(&spec, options.clone(), workers);
-                assert_eq!(
-                    got.0, baseline.0,
-                    "{}: report text diverged in `{mode}` mode with {workers} workers",
-                    spec.name
-                );
-                assert_eq!(
-                    got.1, baseline.1,
-                    "{}: trace v2 bytes diverged in `{mode}` mode with {workers} workers",
-                    spec.name
-                );
-            }
+            let got = profile(&spec, workers, true);
+            assert_eq!(
+                got.0, baseline.0,
+                "{}: report text diverged with {workers} workers",
+                spec.name
+            );
+            assert_eq!(
+                got.1, baseline.1,
+                "{}: trace v2 bytes diverged with {workers} workers",
+                spec.name
+            );
         }
     }
-}
-
-/// The overhauled hot path against its own pre-overhaul implementation.
-///
-/// `ProfilerOptions::with_slow_path` re-enables the original pipeline —
-/// per-access `BTreeMap` resolution, per-launch sink allocation, hashed
-/// merge-candidate map, no resolve caches or pc-hint memo. Every fast-path
-/// configuration must reproduce the slow path's report text and trace v2
-/// bytes exactly, on every registered workload, under both a serial and a
-/// block-parallel kernel loop. This is the contract that makes the
-/// overhaul a pure optimization: byte-for-byte, not "statistically equal".
-#[test]
-fn fast_paths_match_slow_path_baseline_on_every_workload() {
-    let modes = [
-        ("serial-collect", ProfilerOptions::intra_object()),
-        (
-            "sharded",
-            ProfilerOptions::intra_object().with_collector_shards(3),
-        ),
-        (
-            "coalesced",
-            ProfilerOptions::intra_object().with_coalescing(),
-        ),
-    ];
-    for spec in drgpum::workloads::all() {
-        let baseline = profile(&spec, ProfilerOptions::intra_object().with_slow_path(), 1);
-        for workers in [1usize, 4] {
-            for (mode, options) in &modes {
-                let got = profile(&spec, options.clone(), workers);
-                assert_eq!(
-                    got.0, baseline.0,
-                    "{}: report text diverged from the slow-path baseline in `{mode}` mode with {workers} workers",
-                    spec.name
-                );
-                assert_eq!(
-                    got.1, baseline.1,
-                    "{}: trace v2 bytes diverged from the slow-path baseline in `{mode}` mode with {workers} workers",
-                    spec.name
-                );
-            }
-        }
-    }
-    // The slow path is itself worker-count independent: the baseline hook
-    // must stay a valid oracle under a parallel kernel loop, too.
-    let spec = drgpum::workloads::by_name("3MM").expect("registered");
-    let slow1 = profile(&spec, ProfilerOptions::intra_object().with_slow_path(), 1);
-    let slow4 = profile(&spec, ProfilerOptions::intra_object().with_slow_path(), 4);
-    assert_eq!(slow1, slow4, "slow path diverged across worker counts");
 }
 
 /// An active fault plan must force the serial loop: mid-kill thread

@@ -240,3 +240,31 @@ fn allocation_lookups_are_pinned_on_3mm() {
     assert_eq!(run(2, false).0, 1_323, "two workers");
     assert_eq!(run(4, true).0, 1_323, "four workers, profiled");
 }
+
+/// The collection pipeline's work counters, pinned exactly on 3MM.
+///
+/// Under intra-object profiling every access is instrumented, the
+/// sanitizer merges a warp's contiguous accesses into one record, and the
+/// collector resolves each delivered record against its last-hit cache.
+/// All four counts are deterministic, so a regression in merging or
+/// resolution shows here on any host, without timing anything.
+#[test]
+fn collection_work_is_pinned_on_3mm() {
+    let spec = drgpum::workloads::by_name("3MM").expect("registered");
+    let mut ctx = DeviceContext::with_config(SimConfig::default());
+    // A budget that never trips keeps `DRGPUM_MEM_BUDGET` from shrinking
+    // record buffers through the governor's backpressure hint.
+    let options = ProfilerOptions::intra_object().with_budget(drgpum::profiler::ResourceBudget {
+        max_resident_bytes: Some(u64::MAX),
+        ..Default::default()
+    });
+    let profiler = Profiler::attach(&mut ctx, options);
+    (spec.run)(&mut ctx, Variant::Unoptimized, &RunConfig::default()).unwrap();
+    let stats = ctx.stats();
+    let counters = profiler.collector().lock().counters();
+    assert_eq!(stats.instrumented_accesses, 84_672, "accesses");
+    assert_eq!(stats.coalesced_records, 80_244, "accesses merged away");
+    assert_eq!(counters.records, 4_428, "records delivered");
+    assert_eq!(counters.resolve_misses, 489, "resolve misses");
+    assert_eq!(counters.span_records, 0, "records split at object ends");
+}

@@ -74,8 +74,6 @@ pub struct Profiled {
     /// The serialized trace (format v2 text) — the byte-exact artifact the
     /// determinism checks compare.
     pub trace: String,
-    /// The workload's own outcome.
-    pub outcome: RunOutcome,
     /// Wall-clock time of the instrumented run alone (report rendering and
     /// trace serialization excluded).
     pub elapsed: Duration,
@@ -116,7 +114,7 @@ pub fn profile_in_ctx_timed(
         }),
     };
     let start = Instant::now();
-    let outcome = (spec.run)(&mut ctx, variant, &cfg)
+    (spec.run)(&mut ctx, variant, &cfg)
         .unwrap_or_else(|e| panic!("workload {} failed: {e}", spec.name));
     let elapsed = start.elapsed();
     let (trace, phases, counters) = {
@@ -131,7 +129,6 @@ pub fn profile_in_ctx_timed(
     Profiled {
         report: profiler.report(&ctx),
         trace,
-        outcome,
         elapsed,
         phases,
         counters,

@@ -17,10 +17,10 @@
 //! to the innermost live object found by a linear scan (a pool tensor beats
 //! its slab), one byte flag per object byte, per-API byte sets, per-element
 //! counts, and per-kernel coefficients of variation. It uses nothing but
-//! `Vec`, `BTreeMap` and linear scans — no registry, resolve cache or
-//! access-map code — so it checks the pipeline against an independent
-//! statement of what it must compute, not against an earlier version of
-//! itself. The generator always builds a slab with a tensor at offset 0 and
+//! `Vec`, `BTreeMap`/`BTreeSet` and linear scans — no registry, resolve
+//! cache or access-map code — so it checks the pipeline against an
+//! independent statement of what it must compute, not against an earlier
+//! version of itself. The generator always builds a slab with a tensor at offset 0 and
 //! two adjacent 512-byte tensors, and its kernels sweep contiguous ranges
 //! across tensor ends, across slab gaps and across abutting allocations.
 
@@ -31,7 +31,7 @@ use drgpum::sim::pool::{CachingPool, PoolEvent, PoolObserver, SharedPoolObserver
 use drgpum::sim::{AccessKind, SanitizerHooks, SplitMix64, TouchedObject};
 use drgpum::sim::{ApiEvent, ApiKind, KernelCounters, KernelInfo, MemAccessRecord, PatchMode};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Seeds checked; each is one random program.
@@ -440,7 +440,7 @@ struct KernelTouch {
     write: bool,
     /// Intra-object maps were updated (the object was analyzable).
     intra: bool,
-    bytes: BTreeMap<u64, ()>,
+    bytes: BTreeSet<u64>,
     counts: Vec<u32>,
 }
 
@@ -585,9 +585,7 @@ impl Model {
                 continue;
             }
             k.intra = true;
-            for b in off..off + l {
-                k.bytes.insert(b, ());
-            }
+            k.bytes.extend(off..off + l);
             if k.counts.is_empty() {
                 k.counts = vec![0; n];
             }
@@ -610,7 +608,7 @@ impl Model {
             }
             let size = self.objs[id].size;
             let st = self.intra_of(id);
-            let flags = (0..size).map(|b| k.bytes.contains_key(&b));
+            let flags = (0..size).map(|b| k.bytes.contains(&b));
             st.per_api.push((api, runs(flags)));
             let cov = cov_pct(&k.counts);
             if cov > 0.0 && st.nuaf.is_none_or(|(_, best)| cov > best) {
@@ -704,7 +702,6 @@ type IntraView = (
 );
 
 /// What one seed exercised, for the coverage floor.
-#[derive(Default)]
 struct Coverage {
     /// Reallocations at the freed base (stale resolve windows).
     same_base: u32,

@@ -365,6 +365,28 @@ impl FreqMap {
         }
     }
 
+    /// Creates a frequency map from sparse `(element index, count)` pairs,
+    /// equal to recording a one-byte access `count` times at each element:
+    /// repeated indices add up, counts saturate, and indices past the end
+    /// are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `elem_size` is zero.
+    pub fn from_counts(
+        object_bytes: u64,
+        elem_size: u32,
+        counts: impl IntoIterator<Item = (u64, u32)>,
+    ) -> Self {
+        let mut f = Self::new(object_bytes, elem_size);
+        for (i, c) in counts {
+            if let Some(slot) = usize::try_from(i).ok().and_then(|i| f.counts.get_mut(i)) {
+                *slot = slot.saturating_add(c);
+            }
+        }
+        f
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.counts.len()
@@ -743,6 +765,31 @@ mod tests {
                 }
                 assert_eq!(fm.counts(), &model[..], "trial {trial}");
             }
+        }
+
+        #[test]
+        fn freqmap_from_counts_equals_the_record_loop() {
+            let mut rng = SplitMix64::new(0xC0_0475);
+            for trial in 0..100 {
+                let bytes = rng.next_below(300);
+                let elem = 1 + rng.next_below(8) as u32;
+                let n = bytes.div_ceil(u64::from(elem));
+                // Indices repeat and run past the end.
+                let pairs: Vec<(u64, u32)> = (0..rng.next_below(30))
+                    .map(|_| (rng.next_below(n + 4), rng.next_below(50) as u32))
+                    .collect();
+                let direct = FreqMap::from_counts(bytes, elem, pairs.iter().copied());
+                let mut looped = FreqMap::new(bytes, elem);
+                for &(i, c) in &pairs {
+                    for _ in 0..c {
+                        looped.record(i * u64::from(elem), 1);
+                    }
+                }
+                assert_eq!(direct, looped, "trial {trial}: {pairs:?}");
+            }
+            // Counts saturate, as repeated `record` calls do.
+            let full = FreqMap::from_counts(8, 4, [(1, u32::MAX - 1), (1, 5)]);
+            assert_eq!(full.counts(), &[0, u32::MAX]);
         }
 
         /// Inserts mostly in ascending order (the append fast path), with

@@ -33,6 +33,14 @@
 //!   drops damaged sections and dangling records, and reports what was
 //!   lost as [`DegradationRecord`]s so a partial report is honest about
 //!   being partial.
+//!
+//! Payloads are compact JSON with sorted keys. Each row type has one
+//! `write_*` function that prints it straight into the frame and one
+//! `read_*` function that decodes it with a pull [`Reader`], so no JSON
+//! tree is built on either side. The reader accepts exactly what
+//! `serde_json::from_str` accepts — any whitespace, key order and escapes,
+//! repeated keys (the last wins), unknown keys (skipped) — and reports the
+//! same error for a payload that is not JSON.
 
 use crate::accessmap::{AccessBitmap, FreqMap, RangeSet};
 use crate::analyzer::{self, ObjectMeta};
@@ -47,7 +55,7 @@ use crate::patterns::{ApiRef, ObjectAccess, ObjectView, TraceView};
 use crate::peaks::UsageSample;
 use crate::report::{DegradationRecord, Report};
 use gpu_sim::{FrameTable, StreamId};
-use serde_json::{Map, ToJson, Value};
+use serde_json::{write_escaped, write_number, Number, Reader};
 use std::collections::{HashMap, HashSet};
 
 /// Serialization format version this build writes and reads strictly.
@@ -113,6 +121,27 @@ struct SavedUnifiedPage {
     migrations: u64,
     host_ranges: Vec<(u64, u64)>,
     device_ranges: Vec<(u64, u64)>,
+}
+
+/// One streaming `delta` frame: rows appended since the previous frame,
+/// plus rows emitted earlier whose content changed since.
+#[derive(Debug)]
+struct StreamDelta {
+    apis: Vec<SavedApi>,
+    api_updates: Vec<(usize, SavedApi)>,
+    accesses: Vec<SavedAccess>,
+    objects: Vec<SavedObject>,
+    object_updates: Vec<SavedObject>,
+    usage: Vec<(usize, u64)>,
+}
+
+/// One streaming `checkpoint` frame: the full intra-object and
+/// unified-memory maps as of API `api_count`.
+#[derive(Debug)]
+struct StreamCheckpoint {
+    api_count: usize,
+    intra: Vec<SavedIntra>,
+    unified: Vec<SavedUnifiedPage>,
 }
 
 /// A complete, self-contained recording of one profiled run.
@@ -297,386 +326,765 @@ pub fn save(collector: &Collector, frames: &FrameTable, platform: &str) -> Saved
 }
 
 // ---------------------------------------------------------------------------
-// Encoding
+// Encoding: compact JSON with sorted keys, written straight into the frame
 // ---------------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), bitwise.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slicing-by-8 tables for the CRC-32 (IEEE 802.3 polynomial, reflected):
+/// entry `[k][b]` is the CRC contribution of byte `b` followed by `k` zero
+/// bytes, so eight input bytes fold into the CRC with eight lookups.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of a section payload, as its
+/// frame header records it. Folds eight bytes per step.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-fn pairs_value(pairs: &[(u64, u64)]) -> Value {
-    Value::Array(
-        pairs
-            .iter()
-            .map(|&(a, b)| Value::Array(vec![a.to_json(), b.to_json()]))
-            .collect(),
-    )
-}
-
-fn api_value(a: &SavedApi) -> Value {
-    let mut m = Map::new();
-    m.insert("name".into(), a.name.to_json());
-    m.insert("detail".into(), a.detail.to_json());
-    m.insert("mnemonic".into(), a.mnemonic.to_json());
-    m.insert("stream".into(), a.stream.to_json());
-    m.insert("reads".into(), a.reads.to_json());
-    m.insert("writes".into(), a.writes.to_json());
-    m.insert("frees".into(), a.frees.to_json());
-    m.insert("after".into(), a.after.to_json());
-    m.insert("start_ns".into(), a.start_ns.to_json());
-    m.insert("end_ns".into(), a.end_ns.to_json());
-    m.insert("call_path".into(), a.call_path.to_json());
-    Value::Object(m)
-}
-
-fn access_value(a: &SavedAccess) -> Value {
-    Value::Array(vec![
-        a.api_idx.to_json(),
-        a.object.to_json(),
-        a.read.to_json(),
-        a.write.to_json(),
-        a.via.to_json(),
-    ])
-}
-
-fn object_value(o: &SavedObject) -> Value {
-    let mut m = Map::new();
-    m.insert("id".into(), o.id.to_json());
-    m.insert("label".into(), o.label.to_json());
-    m.insert("size".into(), o.size.to_json());
-    m.insert("source".into(), o.source.to_json());
-    m.insert("alloc_api".into(), o.alloc_api.to_json());
-    m.insert("alloc_is_api".into(), o.alloc_is_api.to_json());
-    m.insert("free_api".into(), o.free_api.to_json());
-    m.insert("free_is_api".into(), o.free_is_api.to_json());
-    m.insert("alloc_path".into(), o.alloc_path.to_json());
-    Value::Object(m)
-}
-
-fn intra_value(s: &SavedIntra) -> Value {
-    let mut m = Map::new();
-    m.insert("object".into(), s.object.to_json());
-    m.insert("size".into(), s.size.to_json());
-    m.insert("accessed_ranges".into(), pairs_value(&s.accessed_ranges));
-    m.insert(
-        "per_api".into(),
-        Value::Array(
-            s.per_api
-                .iter()
-                .map(|(idx, ranges)| Value::Array(vec![idx.to_json(), pairs_value(ranges)]))
-                .collect(),
-        ),
-    );
-    m.insert(
-        "nuaf_peak".into(),
-        match &s.nuaf_peak {
-            Some((idx, cov, hist)) => Value::Array(vec![
-                idx.to_json(),
-                cov.to_json(),
-                Value::Array(
-                    hist.iter()
-                        .map(|&(c, n)| Value::Array(vec![c.to_json(), n.to_json()]))
-                        .collect(),
-                ),
-            ]),
-            None => Value::Null,
-        },
-    );
-    m.insert("lifetime_elem_size".into(), s.lifetime_elem_size.to_json());
-    m.insert(
-        "lifetime_counts".into(),
-        Value::Array(
-            s.lifetime_counts
-                .iter()
-                .map(|&(i, c)| Value::Array(vec![i.to_json(), c.to_json()]))
-                .collect(),
-        ),
-    );
-    Value::Object(m)
-}
-
-fn unified_value(p: &SavedUnifiedPage) -> Value {
-    let mut m = Map::new();
-    m.insert("object".into(), p.object.to_json());
-    m.insert("page_index".into(), p.page_index.to_json());
-    m.insert("migrations".into(), p.migrations.to_json());
-    m.insert("host_ranges".into(), pairs_value(&p.host_ranges));
-    m.insert("device_ranges".into(), pairs_value(&p.device_ranges));
-    Value::Object(m)
-}
-
-fn write_section(out: &mut String, name: &str, payload: &Value) {
-    let text =
-        serde_json::to_string(payload).expect("serializing an in-memory JSON value cannot fail");
-    out.push_str(&format!(
+/// Writes one framed section whose payload `body` appends to the buffer.
+fn write_section(out: &mut String, name: &str, body: impl FnOnce(&mut String)) {
+    let start = out.len();
+    body(out);
+    let header = format!(
         "section {name} {} {}\n",
-        text.len(),
-        crc32(text.as_bytes())
-    ));
-    out.push_str(&text);
+        out.len() - start,
+        crc32(&out.as_bytes()[start..])
+    );
+    out.insert_str(start, &header);
     out.push('\n');
 }
 
-// ---------------------------------------------------------------------------
-// Decoding helpers (shape checks over parsed JSON)
-// ---------------------------------------------------------------------------
-
-fn need<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing key `{key}`"))
+/// Writes `{"name":` for the first member of an object, `,"name":` after.
+fn key(out: &mut String, first: bool, name: &str) {
+    out.push(if first { '{' } else { ',' });
+    write_escaped(out, name);
+    out.push(':');
 }
 
-fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
-    need(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("`{key}` is not a non-negative integer"))
+fn write_num(out: &mut String, n: impl Into<Number>) {
+    write_number(out, &n.into());
 }
 
-fn get_u32(v: &Value, key: &str) -> Result<u32, String> {
-    u32::try_from(get_u64(v, key)?).map_err(|_| format!("`{key}` exceeds u32"))
+fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
 }
 
-fn get_usize(v: &Value, key: &str) -> Result<usize, String> {
-    usize::try_from(get_u64(v, key)?).map_err(|_| format!("`{key}` exceeds usize"))
+fn write_opt<T: Copy>(out: &mut String, v: Option<T>, write: impl FnOnce(&mut String, T)) {
+    match v {
+        Some(v) => write(out, v),
+        None => out.push_str("null"),
+    }
 }
 
-fn get_str(v: &Value, key: &str) -> Result<String, String> {
-    need(v, key)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| format!("`{key}` is not a string"))
-}
-
-fn get_bool(v: &Value, key: &str) -> Result<bool, String> {
-    need(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("`{key}` is not a boolean"))
-}
-
-fn get_arr<'a>(v: &'a Value, key: &str) -> Result<&'a Vec<Value>, String> {
-    need(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("`{key}` is not an array"))
-}
-
-fn as_u64_item(v: &Value, what: &str) -> Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("{what} is not a non-negative integer"))
-}
-
-fn get_u64_vec(v: &Value, key: &str) -> Result<Vec<u64>, String> {
-    get_arr(v, key)?
-        .iter()
-        .map(|x| as_u64_item(x, key))
-        .collect()
-}
-
-fn get_usize_vec(v: &Value, key: &str) -> Result<Vec<usize>, String> {
-    get_u64_vec(v, key)?
-        .into_iter()
-        .map(|x| usize::try_from(x).map_err(|_| format!("`{key}` element exceeds usize")))
-        .collect()
-}
-
-fn get_string_vec(v: &Value, key: &str) -> Result<Vec<String>, String> {
-    get_arr(v, key)?
-        .iter()
-        .map(|x| {
-            x.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| format!("`{key}` element is not a string"))
-        })
-        .collect()
-}
-
-fn parse_pair(v: &Value, what: &str) -> Result<(u64, u64), String> {
-    let arr = v
-        .as_array()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| format!("{what} is not a two-element array"))?;
-    Ok((as_u64_item(&arr[0], what)?, as_u64_item(&arr[1], what)?))
-}
-
-fn get_pairs(v: &Value, key: &str) -> Result<Vec<(u64, u64)>, String> {
-    get_arr(v, key)?
-        .iter()
-        .map(|x| parse_pair(x, key))
-        .collect()
-}
-
-fn parse_api(v: &Value) -> Result<SavedApi, String> {
-    Ok(SavedApi {
-        name: get_str(v, "name")?,
-        detail: get_str(v, "detail")?,
-        mnemonic: get_str(v, "mnemonic")?,
-        stream: get_u32(v, "stream")?,
-        reads: get_u64_vec(v, "reads")?,
-        writes: get_u64_vec(v, "writes")?,
-        frees: get_u64_vec(v, "frees")?,
-        after: get_usize_vec(v, "after")?,
-        start_ns: get_u64(v, "start_ns")?,
-        end_ns: get_u64(v, "end_ns")?,
-        call_path: get_string_vec(v, "call_path")?,
-    })
-}
-
-fn parse_access(v: &Value) -> Result<SavedAccess, String> {
-    let arr = v
-        .as_array()
-        .filter(|a| a.len() == 5)
-        .ok_or("access is not a five-element array")?;
-    Ok(SavedAccess {
-        api_idx: usize::try_from(as_u64_item(&arr[0], "api_idx")?)
-            .map_err(|_| "api_idx exceeds usize".to_owned())?,
-        object: as_u64_item(&arr[1], "object")?,
-        read: arr[2].as_bool().ok_or("read is not a boolean")?,
-        write: arr[3].as_bool().ok_or("write is not a boolean")?,
-        via: arr[4].as_str().ok_or("via is not a string")?.to_owned(),
-    })
-}
-
-fn parse_object(v: &Value) -> Result<SavedObject, String> {
-    let free_api = match need(v, "free_api")? {
-        Value::Null => None,
-        other => Some(
-            other
-                .as_u64()
-                .and_then(|x| usize::try_from(x).ok())
-                .ok_or("`free_api` is not an index or null")?,
-        ),
-    };
-    Ok(SavedObject {
-        id: get_u64(v, "id")?,
-        label: get_str(v, "label")?,
-        size: get_u64(v, "size")?,
-        source: get_str(v, "source")?,
-        alloc_api: get_usize(v, "alloc_api")?,
-        alloc_is_api: get_bool(v, "alloc_is_api")?,
-        free_api,
-        free_is_api: get_bool(v, "free_is_api")?,
-        alloc_path: get_string_vec(v, "alloc_path")?,
-    })
-}
-
-fn parse_intra(v: &Value) -> Result<SavedIntra, String> {
-    let per_api = get_arr(v, "per_api")?
-        .iter()
-        .map(|entry| {
-            let arr = entry
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or("per_api entry is not a two-element array")?;
-            let idx = usize::try_from(as_u64_item(&arr[0], "per_api idx")?)
-                .map_err(|_| "per_api idx exceeds usize".to_owned())?;
-            let ranges = arr[1]
-                .as_array()
-                .ok_or("per_api ranges is not an array")?
-                .iter()
-                .map(|p| parse_pair(p, "per_api range"))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok::<_, String>((idx, ranges))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let nuaf_peak = match need(v, "nuaf_peak")? {
-        Value::Null => None,
-        other => {
-            let arr = other
-                .as_array()
-                .filter(|a| a.len() == 3)
-                .ok_or("nuaf_peak is not a three-element array")?;
-            let idx = usize::try_from(as_u64_item(&arr[0], "nuaf_peak idx")?)
-                .map_err(|_| "nuaf_peak idx exceeds usize".to_owned())?;
-            let cov = arr[1].as_f64().ok_or("nuaf_peak cov is not a number")?;
-            let hist = arr[2]
-                .as_array()
-                .ok_or("nuaf_peak histogram is not an array")?
-                .iter()
-                .map(|p| {
-                    let (c, n) = parse_pair(p, "nuaf_peak histogram entry")?;
-                    Ok::<_, String>((
-                        u32::try_from(c).map_err(|_| "histogram count exceeds u32".to_owned())?,
-                        usize::try_from(n)
-                            .map_err(|_| "histogram bucket exceeds usize".to_owned())?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Some((idx, cov, hist))
+/// Writes `[item,item,...]`.
+fn write_list<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-    };
-    let lifetime_elem_size = match need(v, "lifetime_elem_size")? {
-        Value::Null => None,
-        other => Some(
-            other
-                .as_u64()
-                .and_then(|x| u32::try_from(x).ok())
-                .ok_or("`lifetime_elem_size` is not a u32 or null")?,
-        ),
-    };
-    let lifetime_counts = get_arr(v, "lifetime_counts")?
-        .iter()
-        .map(|p| {
-            let (i, c) = parse_pair(p, "lifetime_counts entry")?;
-            Ok::<_, String>((
-                i,
-                u32::try_from(c).map_err(|_| "lifetime count exceeds u32".to_owned())?,
-            ))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(SavedIntra {
-        object: get_u64(v, "object")?,
-        size: get_u64(v, "size")?,
-        accessed_ranges: get_pairs(v, "accessed_ranges")?,
-        per_api,
-        nuaf_peak,
-        lifetime_elem_size,
-        lifetime_counts,
+        item(out, x);
+    }
+    out.push(']');
+}
+
+fn write_nums<T: Copy + Into<Number>>(out: &mut String, items: &[T]) {
+    write_list(out, items, |out, &n| write_num(out, n));
+}
+
+fn write_strs(out: &mut String, items: &[String]) {
+    write_list(out, items, |out, s| write_escaped(out, s));
+}
+
+fn write_pair(out: &mut String, a: impl Into<Number>, b: impl Into<Number>) {
+    out.push('[');
+    write_num(out, a);
+    out.push(',');
+    write_num(out, b);
+    out.push(']');
+}
+
+fn write_pairs<A: Copy + Into<Number>, B: Copy + Into<Number>>(out: &mut String, pairs: &[(A, B)]) {
+    write_list(out, pairs, |out, &(a, b)| write_pair(out, a, b));
+}
+
+fn write_meta(out: &mut String, platform: &str) {
+    key(out, true, "platform");
+    write_escaped(out, platform);
+    out.push('}');
+}
+
+fn write_api(out: &mut String, a: &SavedApi) {
+    key(out, true, "after");
+    write_nums(out, &a.after);
+    key(out, false, "call_path");
+    write_strs(out, &a.call_path);
+    key(out, false, "detail");
+    write_escaped(out, &a.detail);
+    key(out, false, "end_ns");
+    write_num(out, a.end_ns);
+    key(out, false, "frees");
+    write_nums(out, &a.frees);
+    key(out, false, "mnemonic");
+    write_escaped(out, &a.mnemonic);
+    key(out, false, "name");
+    write_escaped(out, &a.name);
+    key(out, false, "reads");
+    write_nums(out, &a.reads);
+    key(out, false, "start_ns");
+    write_num(out, a.start_ns);
+    key(out, false, "stream");
+    write_num(out, a.stream);
+    key(out, false, "writes");
+    write_nums(out, &a.writes);
+    out.push('}');
+}
+
+fn write_access(out: &mut String, a: &SavedAccess) {
+    out.push('[');
+    write_num(out, a.api_idx);
+    out.push(',');
+    write_num(out, a.object);
+    out.push(',');
+    write_bool(out, a.read);
+    out.push(',');
+    write_bool(out, a.write);
+    out.push(',');
+    write_escaped(out, &a.via);
+    out.push(']');
+}
+
+fn write_object(out: &mut String, o: &SavedObject) {
+    key(out, true, "alloc_api");
+    write_num(out, o.alloc_api);
+    key(out, false, "alloc_is_api");
+    write_bool(out, o.alloc_is_api);
+    key(out, false, "alloc_path");
+    write_strs(out, &o.alloc_path);
+    key(out, false, "free_api");
+    write_opt(out, o.free_api, write_num);
+    key(out, false, "free_is_api");
+    write_bool(out, o.free_is_api);
+    key(out, false, "id");
+    write_num(out, o.id);
+    key(out, false, "label");
+    write_escaped(out, &o.label);
+    key(out, false, "size");
+    write_num(out, o.size);
+    key(out, false, "source");
+    write_escaped(out, &o.source);
+    out.push('}');
+}
+
+fn write_intra(out: &mut String, s: &SavedIntra) {
+    key(out, true, "accessed_ranges");
+    write_pairs(out, &s.accessed_ranges);
+    key(out, false, "lifetime_counts");
+    write_pairs(out, &s.lifetime_counts);
+    key(out, false, "lifetime_elem_size");
+    write_opt(out, s.lifetime_elem_size, write_num);
+    key(out, false, "nuaf_peak");
+    match &s.nuaf_peak {
+        Some((idx, cov, hist)) => {
+            out.push('[');
+            write_num(out, *idx);
+            out.push(',');
+            write_num(out, *cov);
+            out.push(',');
+            write_pairs(out, hist);
+            out.push(']');
+        }
+        None => out.push_str("null"),
+    }
+    key(out, false, "object");
+    write_num(out, s.object);
+    key(out, false, "per_api");
+    write_list(out, &s.per_api, |out, (idx, ranges)| {
+        out.push('[');
+        write_num(out, *idx);
+        out.push(',');
+        write_pairs(out, ranges);
+        out.push(']');
+    });
+    key(out, false, "size");
+    write_num(out, s.size);
+    out.push('}');
+}
+
+fn write_unified(out: &mut String, p: &SavedUnifiedPage) {
+    key(out, true, "device_ranges");
+    write_pairs(out, &p.device_ranges);
+    key(out, false, "host_ranges");
+    write_pairs(out, &p.host_ranges);
+    key(out, false, "migrations");
+    write_num(out, p.migrations);
+    key(out, false, "object");
+    write_num(out, p.object);
+    key(out, false, "page_index");
+    write_num(out, p.page_index);
+    out.push('}');
+}
+
+fn write_delta(out: &mut String, d: &StreamDelta) {
+    key(out, true, "accesses");
+    write_list(out, &d.accesses, write_access);
+    key(out, false, "api_updates");
+    write_list(out, &d.api_updates, |out, (idx, row)| {
+        out.push('[');
+        write_num(out, *idx);
+        out.push(',');
+        write_api(out, row);
+        out.push(']');
+    });
+    key(out, false, "apis");
+    write_list(out, &d.apis, write_api);
+    key(out, false, "object_updates");
+    write_list(out, &d.object_updates, write_object);
+    key(out, false, "objects");
+    write_list(out, &d.objects, write_object);
+    key(out, false, "usage");
+    write_pairs(out, &d.usage);
+    out.push('}');
+}
+
+fn write_checkpoint(out: &mut String, c: &StreamCheckpoint) {
+    key(out, true, "api_count");
+    write_num(out, c.api_count);
+    key(out, false, "intra");
+    write_list(out, &c.intra, write_intra);
+    key(out, false, "unified");
+    write_list(out, &c.unified, write_unified);
+    out.push('}');
+}
+
+// ---------------------------------------------------------------------------
+// Decoding: a pull reader over the payload, straight into the row types
+// ---------------------------------------------------------------------------
+
+/// Why a section payload did not decode.
+#[derive(Debug)]
+enum DecodeError {
+    /// The payload is not JSON; the error `serde_json::from_str` reports.
+    Syntax(serde_json::Error),
+    /// The payload is JSON of the wrong shape.
+    Shape(String),
+}
+
+impl From<serde_json::Error> for DecodeError {
+    fn from(e: serde_json::Error) -> Self {
+        DecodeError::Syntax(e)
+    }
+}
+
+impl DecodeError {
+    fn into_trace_error(self, section: &str) -> TraceError {
+        TraceError::Malformed {
+            section: section.to_owned(),
+            reason: match self {
+                DecodeError::Syntax(e) => e.to_string(),
+                DecodeError::Shape(reason) => reason,
+            },
+        }
+    }
+}
+
+type Decoded<T> = Result<T, DecodeError>;
+
+/// Separates a JSON error (`Err`) from a shape error (`Ok(Err(reason))`).
+fn split<T>(d: Decoded<T>) -> Result<Result<T, String>, serde_json::Error> {
+    match d {
+        Ok(v) => Ok(Ok(v)),
+        Err(DecodeError::Shape(reason)) => Ok(Err(reason)),
+        Err(DecodeError::Syntax(e)) => Err(e),
+    }
+}
+
+fn shape<T>(reason: String) -> Decoded<T> {
+    Err(DecodeError::Shape(reason))
+}
+
+fn read_u64(r: &mut Reader, what: &str) -> Decoded<u64> {
+    if let Some(b'-' | b'0'..=b'9') = r.peek() {
+        if let Number::PosInt(n) = r.number()? {
+            return Ok(n);
+        }
+    }
+    shape(format!("{what} is not a non-negative integer"))
+}
+
+fn read_u32(r: &mut Reader, what: &str) -> Decoded<u32> {
+    u32::try_from(read_u64(r, what)?).or_else(|_| shape(format!("{what} exceeds u32")))
+}
+
+fn read_usize(r: &mut Reader, what: &str) -> Decoded<usize> {
+    usize::try_from(read_u64(r, what)?).or_else(|_| shape(format!("{what} exceeds usize")))
+}
+
+fn read_f64(r: &mut Reader, what: &str) -> Decoded<f64> {
+    match r.peek() {
+        Some(b'-' | b'0'..=b'9') => Ok(r.number()?.as_f64()),
+        _ => shape(format!("{what} is not a number")),
+    }
+}
+
+fn read_bool(r: &mut Reader, what: &str) -> Decoded<bool> {
+    match r.peek() {
+        Some(b't' | b'f') => Ok(r.boolean()?),
+        _ => shape(format!("{what} is not a boolean")),
+    }
+}
+
+fn read_string(r: &mut Reader, what: &str) -> Decoded<String> {
+    match r.peek() {
+        Some(b'"') => Ok(r.string()?.into_owned()),
+        _ => shape(format!("{what} is not a string")),
+    }
+}
+
+/// Reads `null` as `None`, anything else with `read`.
+fn read_opt<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<Option<T>> {
+    if r.null()? {
+        Ok(None)
+    } else {
+        read(r).map(Some)
+    }
+}
+
+/// Reads an array of any length, each element with `item`.
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    what: &str,
+    mut item: impl FnMut(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<Vec<T>> {
+    if r.peek() != Some(b'[') {
+        return shape(format!("{what} is not an array"));
+    }
+    let mut items = Vec::new();
+    let mut more = r.begin_array()?;
+    while more {
+        items.push(item(r)?);
+        more = r.next_element()?;
+    }
+    Ok(items)
+}
+
+/// Like [`read_list`], but prefixes a row's shape error with its index.
+fn read_rows<'a, T>(
+    r: &mut Reader<'a>,
+    what: &str,
+    mut row: impl FnMut(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<Vec<T>> {
+    let mut i = 0usize;
+    read_list(r, what, |r| {
+        let item = row(r).map_err(|e| match e {
+            DecodeError::Shape(reason) => DecodeError::Shape(format!("record #{i}: {reason}")),
+            syntax => syntax,
+        });
+        i += 1;
+        item
     })
 }
 
-fn parse_unified(v: &Value) -> Result<SavedUnifiedPage, String> {
-    Ok(SavedUnifiedPage {
-        object: get_u64(v, "object")?,
-        page_index: get_u32(v, "page_index")?,
-        migrations: get_u64(v, "migrations")?,
-        host_ranges: get_pairs(v, "host_ranges")?,
-        device_ranges: get_pairs(v, "device_ranges")?,
-    })
+fn read_u64s(r: &mut Reader, what: &str) -> Decoded<Vec<u64>> {
+    read_list(r, what, |r| read_u64(r, what))
 }
 
-fn parse_list<T>(
-    section: &str,
-    v: &Value,
-    item: impl Fn(&Value) -> Result<T, String>,
-) -> Result<Vec<T>, TraceError> {
-    let arr = v.as_array().ok_or_else(|| TraceError::Malformed {
-        section: section.to_owned(),
-        reason: "payload is not an array".to_owned(),
+fn read_usizes(r: &mut Reader, what: &str) -> Decoded<Vec<usize>> {
+    read_list(r, what, |r| read_usize(r, what))
+}
+
+fn read_strings(r: &mut Reader, what: &str) -> Decoded<Vec<String>> {
+    read_list(r, what, |r| read_string(r, what))
+}
+
+/// Steps through a fixed-length array: `[` before the first element, `,`
+/// between elements, `]` after the last.
+struct Tuple<'w> {
+    what: &'w str,
+    len: usize,
+}
+
+impl Tuple<'_> {
+    fn wrong<T>(&self) -> Decoded<T> {
+        shape(format!("{} is not a {}-element array", self.what, self.len))
+    }
+
+    fn open(&self, r: &mut Reader) -> Decoded<()> {
+        if r.peek() == Some(b'[') && r.begin_array()? {
+            Ok(())
+        } else {
+            self.wrong()
+        }
+    }
+
+    fn next(&self, r: &mut Reader) -> Decoded<()> {
+        if r.next_element()? {
+            Ok(())
+        } else {
+            self.wrong()
+        }
+    }
+
+    fn close(&self, r: &mut Reader) -> Decoded<()> {
+        if r.next_element()? {
+            self.wrong()
+        } else {
+            Ok(())
+        }
+    }
+}
+
+fn read_pair<A, B>(
+    r: &mut Reader,
+    what: &str,
+    a: impl FnOnce(&mut Reader, &str) -> Decoded<A>,
+    b: impl FnOnce(&mut Reader, &str) -> Decoded<B>,
+) -> Decoded<(A, B)> {
+    let t = Tuple { what, len: 2 };
+    t.open(r)?;
+    let first = a(r, what)?;
+    t.next(r)?;
+    let second = b(r, what)?;
+    t.close(r)?;
+    Ok((first, second))
+}
+
+fn read_ranges(r: &mut Reader, what: &str) -> Decoded<Vec<(u64, u64)>> {
+    read_list(r, what, |r| read_pair(r, what, read_u64, read_u64))
+}
+
+/// Reads an object member by member: `member` reads the value of a key it
+/// knows and returns `false` for any other key, whose value is skipped.
+fn read_object<'a>(
+    r: &mut Reader<'a>,
+    what: &str,
+    mut member: impl FnMut(&mut Reader<'a>, &str) -> Decoded<bool>,
+) -> Decoded<()> {
+    if r.peek() != Some(b'{') {
+        return shape(format!("{what} is not an object"));
+    }
+    let mut more = r.begin_object()?;
+    while more {
+        let key = r.key()?;
+        if !member(r, &key)? {
+            r.skip_value()?;
+        }
+        more = r.next_member()?;
+    }
+    Ok(())
+}
+
+/// One object member: absent, or the outcome of reading its last
+/// occurrence (a repeated key's last value wins, as in a parsed tree).
+type Slot<T> = Option<Result<T, String>>;
+
+/// Reads a member's value into `slot`. A shape error is kept in the slot
+/// rather than raised, so a later occurrence of the key can replace it;
+/// the reader is moved past the whole value either way.
+fn fill<'a, T>(
+    r: &mut Reader<'a>,
+    slot: &mut Slot<T>,
+    read: impl FnOnce(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<bool> {
+    let start = *r;
+    *slot = Some(match read(r) {
+        Ok(v) => Ok(v),
+        Err(DecodeError::Shape(reason)) => {
+            *r = start;
+            r.skip_value()?;
+            Err(reason)
+        }
+        Err(syntax) => return Err(syntax),
+    });
+    Ok(true)
+}
+
+fn take<T>(slot: Slot<T>, key: &str) -> Decoded<T> {
+    match slot {
+        Some(Ok(v)) => Ok(v),
+        Some(Err(reason)) => shape(reason),
+        None => shape(format!("missing key `{key}`")),
+    }
+}
+
+/// Reads an object into a `$ty` struct literal: each field comes from the
+/// member of the same name, decoded by `$read(reader, key)`; other members
+/// are skipped. A repeated key's last value wins, and a missing or
+/// misshapen field is a shape error (checked in the order listed).
+macro_rules! read_struct {
+    ($r:expr, $what:literal, $ty:ident { $($field:ident: $read:expr),+ $(,)? }) => {{
+        $(let mut $field = None;)+
+        read_object($r, $what, |r, key| match key {
+            $(stringify!($field) => fill(r, &mut $field, |r| $read(r, key)),)+
+            _ => Ok(false),
+        })?;
+        Ok($ty { $($field: take($field, stringify!($field))?,)+ })
+    }};
+}
+
+fn read_meta(r: &mut Reader) -> Decoded<String> {
+    let mut platform = None;
+    read_object(r, "meta", |r, key| match key {
+        "platform" => fill(r, &mut platform, |r| read_string(r, key)),
+        _ => Ok(false),
     })?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, x)| {
-            item(x).map_err(|reason| TraceError::Malformed {
-                section: section.to_owned(),
-                reason: format!("record #{i}: {reason}"),
-            })
-        })
-        .collect()
+    take(platform, "platform")
+}
+
+fn read_api(r: &mut Reader) -> Decoded<SavedApi> {
+    read_struct!(
+        r,
+        "api",
+        SavedApi {
+            name: read_string,
+            detail: read_string,
+            mnemonic: read_string,
+            stream: read_u32,
+            reads: read_u64s,
+            writes: read_u64s,
+            frees: read_u64s,
+            after: read_usizes,
+            start_ns: read_u64,
+            end_ns: read_u64,
+            call_path: read_strings,
+        }
+    )
+}
+
+fn read_access(r: &mut Reader) -> Decoded<SavedAccess> {
+    let t = Tuple {
+        what: "access",
+        len: 5,
+    };
+    t.open(r)?;
+    let api_idx = read_usize(r, "api_idx")?;
+    t.next(r)?;
+    let object = read_u64(r, "object")?;
+    t.next(r)?;
+    let read = read_bool(r, "read")?;
+    t.next(r)?;
+    let write = read_bool(r, "write")?;
+    t.next(r)?;
+    let via = read_string(r, "via")?;
+    t.close(r)?;
+    Ok(SavedAccess {
+        api_idx,
+        object,
+        read,
+        write,
+        via,
+    })
+}
+
+fn read_object_row(r: &mut Reader) -> Decoded<SavedObject> {
+    read_struct!(
+        r,
+        "object",
+        SavedObject {
+            id: read_u64,
+            label: read_string,
+            size: read_u64,
+            source: read_string,
+            alloc_api: read_usize,
+            alloc_is_api: read_bool,
+            free_api: |r, key| read_opt(r, |r| read_usize(r, key)),
+            free_is_api: read_bool,
+            alloc_path: read_strings,
+        }
+    )
+}
+
+fn read_usage(r: &mut Reader) -> Decoded<(usize, u64)> {
+    read_pair(r, "usage sample", read_usize, read_u64)
+}
+
+fn read_nuaf_peak(r: &mut Reader) -> Decoded<NuafObservation> {
+    let t = Tuple {
+        what: "nuaf_peak",
+        len: 3,
+    };
+    t.open(r)?;
+    let idx = read_usize(r, "nuaf_peak idx")?;
+    t.next(r)?;
+    let cov = read_f64(r, "nuaf_peak cov")?;
+    t.next(r)?;
+    let what = "nuaf_peak histogram entry";
+    let hist = read_list(r, "nuaf_peak histogram", |r| {
+        read_pair(r, what, read_u32, read_usize)
+    })?;
+    t.close(r)?;
+    Ok((idx, cov, hist))
+}
+
+fn read_intra(r: &mut Reader) -> Decoded<SavedIntra> {
+    read_struct!(
+        r,
+        "intra entry",
+        SavedIntra {
+            object: read_u64,
+            size: read_u64,
+            accessed_ranges: read_ranges,
+            per_api: |r, key| read_list(r, key, |r| {
+                read_pair(r, "per_api entry", read_usize, |r, _| {
+                    read_ranges(r, "per_api range")
+                })
+            }),
+            nuaf_peak: |r, _| read_opt(r, read_nuaf_peak),
+            lifetime_elem_size: |r, key| read_opt(r, |r| read_u32(r, key)),
+            lifetime_counts: |r, key| read_list(r, key, |r| {
+                read_pair(r, "lifetime_counts entry", read_u64, read_u32)
+            }),
+        }
+    )
+}
+
+fn read_unified(r: &mut Reader) -> Decoded<SavedUnifiedPage> {
+    read_struct!(
+        r,
+        "unified page",
+        SavedUnifiedPage {
+            object: read_u64,
+            page_index: read_u32,
+            migrations: read_u64,
+            host_ranges: read_ranges,
+            device_ranges: read_ranges,
+        }
+    )
+}
+
+fn read_delta(r: &mut Reader) -> Decoded<StreamDelta> {
+    read_struct!(
+        r,
+        "delta",
+        StreamDelta {
+            apis: |r, key| read_rows(r, key, read_api),
+            api_updates: |r, key| read_rows(r, key, |r| {
+                read_pair(r, "api update", read_usize, |r, _| read_api(r))
+            }),
+            accesses: |r, key| read_rows(r, key, read_access),
+            objects: |r, key| read_rows(r, key, read_object_row),
+            object_updates: |r, key| read_rows(r, key, read_object_row),
+            usage: |r, key| read_rows(r, key, read_usage),
+        }
+    )
+}
+
+fn read_checkpoint(r: &mut Reader) -> Decoded<StreamCheckpoint> {
+    read_struct!(
+        r,
+        "checkpoint",
+        StreamCheckpoint {
+            api_count: read_usize,
+            intra: |r, key| read_rows(r, key, read_intra),
+            unified: |r, key| read_rows(r, key, read_unified),
+        }
+    )
+}
+
+/// Decodes a whole section payload with `read`. As with a parsed tree, a
+/// payload that is not JSON reports its first JSON error even when the
+/// walk met a shape error earlier.
+fn decode<'a, T>(payload: &'a str, read: impl FnOnce(&mut Reader<'a>) -> Decoded<T>) -> Decoded<T> {
+    let mut r = Reader::new(payload);
+    match read(&mut r).and_then(|v| {
+        r.finish()?;
+        Ok(v)
+    }) {
+        Err(DecodeError::Shape(reason)) => {
+            check_json(payload)?;
+            Err(DecodeError::Shape(reason))
+        }
+        done => done,
+    }
+}
+
+/// Checks that a payload is one JSON value, building nothing.
+fn check_json(payload: &str) -> Result<(), serde_json::Error> {
+    let mut r = Reader::new(payload);
+    r.skip_value()?;
+    r.finish()
+}
+
+/// Decodes a batch section that is an array of rows.
+fn decode_rows<'a, T>(
+    payload: &'a str,
+    row: impl FnMut(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<Vec<T>> {
+    decode(payload, |r| read_rows(r, "payload", row))
 }
 
 // ---------------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------------
 
-/// One successfully framed section: name plus parsed JSON payload.
-type Frames = HashMap<String, Value>;
+/// The successfully framed sections, in file order: name and payload.
+type Frames<'t> = Vec<(String, &'t str)>;
+
+/// The payload of the last frame called `name` (a repeated section's last
+/// copy is the one read).
+fn payload<'t>(frames: &Frames<'t>, name: &str) -> Option<&'t str> {
+    frames
+        .iter()
+        .rev()
+        .find(|(n, _)| n == name)
+        .map(|&(_, p)| p)
+}
+
+/// Frames that are not decoded — unknown sections and earlier copies of a
+/// repeated one. They must still hold well-formed JSON.
+fn unread<'f, 't>(frames: &'f Frames<'t>) -> impl Iterator<Item = &'f (String, &'t str)> {
+    frames.iter().enumerate().filter_map(move |(i, frame)| {
+        let known = SECTION_ORDER.contains(&frame.0.as_str());
+        let shadowed = frames[i + 1..].iter().any(|(n, _)| *n == frame.0);
+        (!known || shadowed).then_some(frame)
+    })
+}
 
 /// Reads the next `\n`-terminated line as bytes, advancing `pos`.
 fn read_line<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
@@ -710,14 +1118,15 @@ fn parse_header(line: Option<&[u8]>) -> Result<u32, TraceError> {
         .ok_or(TraceError::MissingHeader)
 }
 
-/// One step of the frame walk: either a parsed section, the `end` marker,
-/// or a framing error naming the section it occurred in.
-enum FrameStep {
-    Section(String, Value),
+/// One step of the frame walk: either a section whose length and checksum
+/// hold, or the `end` marker.
+enum FrameStep<'t> {
+    Section(String, &'t str),
     End,
 }
 
-fn next_frame(bytes: &[u8], pos: &mut usize) -> Result<FrameStep, TraceError> {
+fn next_frame<'t>(text: &'t str, pos: &mut usize) -> Result<FrameStep<'t>, TraceError> {
+    let bytes = text.as_bytes();
     let malformed = |reason: &str| TraceError::Malformed {
         section: "frame".to_owned(),
         reason: reason.to_owned(),
@@ -725,8 +1134,8 @@ fn next_frame(bytes: &[u8], pos: &mut usize) -> Result<FrameStep, TraceError> {
     let Some(line) = read_line(bytes, pos) else {
         return Err(malformed("missing `end` marker"));
     };
-    let text = std::str::from_utf8(line).map_err(|_| malformed("frame line is not UTF-8"))?;
-    let words: Vec<&str> = text.split_ascii_whitespace().collect();
+    let line = std::str::from_utf8(line).map_err(|_| malformed("frame line is not UTF-8"))?;
+    let words: Vec<&str> = line.split_ascii_whitespace().collect();
     match words.as_slice() {
         ["end"] => Ok(FrameStep::End),
         ["section", name, len, crc] => {
@@ -759,15 +1168,11 @@ fn next_frame(bytes: &[u8], pos: &mut usize) -> Result<FrameStep, TraceError> {
                     actual,
                 });
             }
-            let text = std::str::from_utf8(payload).map_err(|_| TraceError::Malformed {
+            let payload = std::str::from_utf8(payload).map_err(|_| TraceError::Malformed {
                 section: name.clone(),
                 reason: "payload is not UTF-8".to_owned(),
             })?;
-            let value = serde_json::from_str(text).map_err(|e| TraceError::Malformed {
-                section: name.clone(),
-                reason: e.to_string(),
-            })?;
-            Ok(FrameStep::Section(name, value))
+            Ok(FrameStep::Section(name, payload))
         }
         [] => Ok(FrameStep::End), // tolerate a trailing blank line
         _ => Err(malformed("unrecognized frame line")),
@@ -775,32 +1180,29 @@ fn next_frame(bytes: &[u8], pos: &mut usize) -> Result<FrameStep, TraceError> {
 }
 
 fn decode_sections(frames: &Frames) -> Result<SavedTrace, TraceError> {
-    let section = |name: &str| -> Result<&Value, TraceError> {
-        frames.get(name).ok_or_else(|| TraceError::Malformed {
+    for (name, p) in unread(frames) {
+        check_json(p).map_err(|e| DecodeError::Syntax(e).into_trace_error(name))?;
+    }
+    fn section<'t, T>(
+        frames: &Frames<'t>,
+        name: &str,
+        read: impl FnOnce(&'t str) -> Decoded<T>,
+    ) -> Result<T, TraceError> {
+        let p = payload(frames, name).ok_or_else(|| TraceError::Malformed {
             section: name.to_owned(),
             reason: "section missing".to_owned(),
-        })
-    };
-    let meta = section("meta")?;
-    let platform = get_str(meta, "platform").map_err(|reason| TraceError::Malformed {
-        section: "meta".to_owned(),
-        reason,
-    })?;
+        })?;
+        read(p).map_err(|e| e.into_trace_error(name))
+    }
     Ok(SavedTrace {
         version: FORMAT_VERSION,
-        platform,
-        apis: parse_list("apis", section("apis")?, parse_api)?,
-        accesses: parse_list("accesses", section("accesses")?, parse_access)?,
-        objects: parse_list("objects", section("objects")?, parse_object)?,
-        usage: parse_list("usage", section("usage")?, |v| {
-            let (idx, bytes) = parse_pair(v, "usage sample")?;
-            Ok((
-                usize::try_from(idx).map_err(|_| "usage api_idx exceeds usize".to_owned())?,
-                bytes,
-            ))
-        })?,
-        intra: parse_list("intra", section("intra")?, parse_intra)?,
-        unified: parse_list("unified", section("unified")?, parse_unified)?,
+        platform: section(frames, "meta", |p| decode(p, read_meta))?,
+        apis: section(frames, "apis", |p| decode_rows(p, read_api))?,
+        accesses: section(frames, "accesses", |p| decode_rows(p, read_access))?,
+        objects: section(frames, "objects", |p| decode_rows(p, read_object_row))?,
+        usage: section(frames, "usage", |p| decode_rows(p, read_usage))?,
+        intra: section(frames, "intra", |p| decode_rows(p, read_intra))?,
+        unified: section(frames, "unified", |p| decode_rows(p, read_unified))?,
     })
 }
 
@@ -1010,9 +1412,8 @@ pub fn load(text: &str) -> Result<SavedTrace, TraceError> {
                 .to_owned(),
         });
     }
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let version = parse_header(read_line(bytes, &mut pos))?;
+    let version = parse_header(read_line(text.as_bytes(), &mut pos))?;
     if version != FORMAT_VERSION {
         return Err(TraceError::UnsupportedVersion {
             found: version,
@@ -1020,8 +1421,8 @@ pub fn load(text: &str) -> Result<SavedTrace, TraceError> {
         });
     }
     let mut frames = Frames::new();
-    while let FrameStep::Section(name, value) = next_frame(bytes, &mut pos)? {
-        frames.insert(name, value);
+    while let FrameStep::Section(name, payload) = next_frame(text, &mut pos)? {
+        frames.push((name, payload));
     }
     let trace = decode_sections(&frames)?;
     validate(&trace)?;
@@ -1062,9 +1463,8 @@ pub fn salvage(text: &str) -> (SavedTrace, SalvageReport) {
         return salvage_stream(text);
     }
     let mut notes = Vec::new();
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    match parse_header(read_line(bytes, &mut pos)) {
+    match parse_header(read_line(text.as_bytes(), &mut pos)) {
         Ok(v) if v == FORMAT_VERSION => {}
         Ok(v) => notes.push(format!(
             "trace declares format version {v} (this build writes {FORMAT_VERSION}); \
@@ -1077,9 +1477,9 @@ pub fn salvage(text: &str) -> (SavedTrace, SalvageReport) {
     }
     let mut frames = Frames::new();
     loop {
-        match next_frame(bytes, &mut pos) {
-            Ok(FrameStep::Section(name, value)) => {
-                frames.insert(name, value);
+        match next_frame(text, &mut pos) {
+            Ok(FrameStep::Section(name, payload)) => {
+                frames.push((name, payload));
             }
             Ok(FrameStep::End) => break,
             Err(e) => {
@@ -1099,7 +1499,9 @@ pub fn salvage(text: &str) -> (SavedTrace, SalvageReport) {
         }
     }
     for name in SECTION_ORDER {
-        if !frames.contains_key(name) && !notes.iter().any(|n| n.contains(&format!("`{name}`"))) {
+        if payload(&frames, name).is_none()
+            && !notes.iter().any(|n| n.contains(&format!("`{name}`")))
+        {
             notes.push(format!("section `{name}` absent; treated as empty"));
         }
     }
@@ -1124,45 +1526,45 @@ fn empty_trace() -> SavedTrace {
 /// Decodes whatever sections survived framing, treating each decode
 /// failure as one more loss instead of an error.
 fn salvage_decode(frames: &Frames, notes: &mut Vec<String>) -> SavedTrace {
-    fn take<T>(
-        frames: &Frames,
-        notes: &mut Vec<String>,
-        name: &str,
-        item: impl Fn(&Value) -> Result<T, String>,
-    ) -> Vec<T> {
-        let Some(v) = frames.get(name) else {
-            return Vec::new();
-        };
-        match parse_list(name, v, item) {
-            Ok(list) => list,
-            Err(e) => {
-                notes.push(format!("dropped section: {e}"));
-                Vec::new()
-            }
+    for (name, p) in unread(frames) {
+        if let Err(e) = check_json(p) {
+            let e = DecodeError::Syntax(e).into_trace_error(name);
+            notes.push(format!("dropped section: {e}"));
         }
     }
-    let platform = frames
-        .get("meta")
-        .and_then(|m| get_str(m, "platform").ok())
-        .unwrap_or_else(|| {
+    fn take<'t, T>(
+        frames: &Frames<'t>,
+        notes: &mut Vec<String>,
+        name: &str,
+        row: impl FnMut(&mut Reader<'t>) -> Decoded<T>,
+    ) -> Vec<T> {
+        let Some(p) = payload(frames, name) else {
+            return Vec::new();
+        };
+        decode_rows(p, row).unwrap_or_else(|e| {
+            notes.push(format!("dropped section: {}", e.into_trace_error(name)));
+            Vec::new()
+        })
+    }
+    let platform = match payload(frames, "meta").map(|p| decode(p, read_meta)) {
+        Some(Ok(platform)) => platform,
+        lost => {
+            if let Some(Err(e @ DecodeError::Syntax(_))) = lost {
+                notes.push(format!("dropped section: {}", e.into_trace_error("meta")));
+            }
             notes.push("platform name lost with the meta section".to_owned());
             "<unknown>".to_owned()
-        });
+        }
+    };
     SavedTrace {
         version: FORMAT_VERSION,
         platform,
-        apis: take(frames, notes, "apis", parse_api),
-        accesses: take(frames, notes, "accesses", parse_access),
-        objects: take(frames, notes, "objects", parse_object),
-        usage: take(frames, notes, "usage", |v| {
-            let (idx, bytes) = parse_pair(v, "usage sample")?;
-            Ok((
-                usize::try_from(idx).map_err(|_| "usage api_idx exceeds usize".to_owned())?,
-                bytes,
-            ))
-        }),
-        intra: take(frames, notes, "intra", parse_intra),
-        unified: take(frames, notes, "unified", parse_unified),
+        apis: take(frames, notes, "apis", read_api),
+        accesses: take(frames, notes, "accesses", read_access),
+        objects: take(frames, notes, "objects", read_object_row),
+        usage: take(frames, notes, "usage", read_usage),
+        intra: take(frames, notes, "intra", read_intra),
+        unified: take(frames, notes, "unified", read_unified),
     }
 }
 
@@ -1211,9 +1613,7 @@ pub fn is_stream_trace(text: &str) -> bool {
 /// The header + meta section every streaming trace starts with.
 pub(crate) fn stream_header(platform: &str) -> String {
     let mut out = format!("{STREAM_MAGIC} {FORMAT_VERSION}\n");
-    let mut meta = Map::new();
-    meta.insert("platform".into(), platform.to_json());
-    write_section(&mut out, "meta", &Value::Object(meta));
+    write_section(&mut out, "meta", |out| write_meta(out, platform));
     out
 }
 
@@ -1258,150 +1658,101 @@ pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Op
             .map(|s| s.to_string())
             .collect()
     };
-    let row = |a: &GpuApi| api_value(&api_row(a, path_vec(&a.call_path)));
-    let new_apis: Vec<Value> = apis[cur.apis.min(apis.len())..].iter().map(row).collect();
-    let api_updates: Vec<Value> = updated
-        .iter()
-        .map(|&i| Value::Array(vec![i.to_json(), row(&apis[i])]))
-        .collect();
-    let new_accesses: Vec<Value> = accesses[cur.accesses.min(accesses.len())..]
-        .iter()
-        .map(|a| access_value(&access_row(a)))
-        .collect();
-
+    let row = |a: &GpuApi| api_row(a, path_vec(&a.call_path));
     let fingerprint = |o: &DataObject| (o.free_api, o.free_is_api, source_str(o.source).to_owned());
-    let mut object_updates = Vec::new();
+    let mut delta = StreamDelta {
+        apis: apis[cur.apis.min(apis.len())..].iter().map(row).collect(),
+        api_updates: updated.iter().map(|&i| (i, row(&apis[i]))).collect(),
+        accesses: accesses[cur.accesses.min(accesses.len())..]
+            .iter()
+            .map(access_row)
+            .collect(),
+        objects: Vec::new(),
+        object_updates: Vec::new(),
+        usage: usage[cur.usage.min(usage.len())..]
+            .iter()
+            .map(|s| (s.api_idx, s.bytes_in_use))
+            .collect(),
+    };
     for (i, o) in objects.iter().enumerate().take(cur.objects) {
         let fp = fingerprint(o);
         if cur.fingerprints.get(i) != Some(&fp) {
-            object_updates.push(object_value(&object_row(o, path_vec(&o.alloc_path))));
+            delta
+                .object_updates
+                .push(object_row(o, path_vec(&o.alloc_path)));
             if let Some(slot) = cur.fingerprints.get_mut(i) {
                 *slot = fp;
             }
         }
     }
-    let mut new_objects = Vec::new();
     for o in objects.iter().skip(cur.objects) {
         cur.fingerprints.push(fingerprint(o));
-        new_objects.push(object_value(&object_row(o, path_vec(&o.alloc_path))));
+        delta.objects.push(object_row(o, path_vec(&o.alloc_path)));
     }
-    let new_usage: Vec<Value> = usage[cur.usage.min(usage.len())..]
-        .iter()
-        .map(|s| Value::Array(vec![s.api_idx.to_json(), s.bytes_in_use.to_json()]))
-        .collect();
 
     cur.apis = apis.len();
     cur.accesses = accesses.len();
     cur.objects = objects.len();
     cur.usage = usage.len();
 
-    if new_apis.is_empty()
-        && api_updates.is_empty()
-        && new_accesses.is_empty()
-        && new_objects.is_empty()
-        && object_updates.is_empty()
-        && new_usage.is_empty()
+    if delta.apis.is_empty()
+        && delta.api_updates.is_empty()
+        && delta.accesses.is_empty()
+        && delta.objects.is_empty()
+        && delta.object_updates.is_empty()
+        && delta.usage.is_empty()
     {
         return None;
     }
-    let mut m = Map::new();
-    m.insert("apis".into(), Value::Array(new_apis));
-    m.insert("api_updates".into(), Value::Array(api_updates));
-    m.insert("accesses".into(), Value::Array(new_accesses));
-    m.insert("objects".into(), Value::Array(new_objects));
-    m.insert("object_updates".into(), Value::Array(object_updates));
-    m.insert("usage".into(), Value::Array(new_usage));
     let mut out = String::new();
-    write_section(&mut out, "delta", &Value::Object(m));
+    write_section(&mut out, "delta", |out| write_delta(out, &delta));
     Some(out)
 }
 
 /// Encodes the collector's full intra-object and unified-memory state as
 /// one framed `checkpoint` section.
 pub(crate) fn checkpoint_section(collector: &Collector) -> String {
-    let mut m = Map::new();
-    m.insert("api_count".into(), collector.gpu_apis().len().to_json());
-    m.insert(
-        "intra".into(),
-        Value::Array(
-            collector
-                .intra_data()
-                .iter()
-                .map(|d| intra_value(&intra_row(d)))
-                .collect(),
-        ),
-    );
-    m.insert(
-        "unified".into(),
-        Value::Array(
-            collector
-                .unified_page_stats()
-                .iter()
-                .map(|p| unified_value(&unified_row(p)))
-                .collect(),
-        ),
-    );
+    let checkpoint = StreamCheckpoint {
+        api_count: collector.gpu_apis().len(),
+        intra: collector
+            .intra_data()
+            .iter()
+            .map(|d| intra_row(d))
+            .collect(),
+        unified: collector
+            .unified_page_stats()
+            .iter()
+            .map(unified_row)
+            .collect(),
+    };
     let mut out = String::new();
-    write_section(&mut out, "checkpoint", &Value::Object(m));
+    write_section(&mut out, "checkpoint", |out| {
+        write_checkpoint(out, &checkpoint)
+    });
     out
 }
 
-/// Applies one decoded `delta` payload to the accumulating trace.
-fn apply_stream_delta(trace: &mut SavedTrace, v: &Value) -> Result<(), String> {
-    for row in get_arr(v, "apis")? {
-        trace.apis.push(parse_api(row)?);
+/// Applies one decoded `delta` to the accumulating trace — all of it, or
+/// nothing if one of its updates names a row that does not exist.
+fn apply_stream_delta(trace: &mut SavedTrace, d: StreamDelta) -> Result<(), String> {
+    let api_rows = trace.apis.len() + d.apis.len();
+    if d.api_updates.iter().any(|&(idx, _)| idx >= api_rows) {
+        return Err("api update index out of range".to_owned());
     }
-    for upd in get_arr(v, "api_updates")? {
-        let arr = upd
-            .as_array()
-            .filter(|a| a.len() == 2)
-            .ok_or("api update is not a [index, row] pair")?;
-        let idx = usize::try_from(as_u64_item(&arr[0], "api update index")?)
-            .map_err(|_| "api update index exceeds usize".to_owned())?;
-        let row = parse_api(&arr[1])?;
-        let slot = trace
-            .apis
-            .get_mut(idx)
-            .ok_or("api update index out of range")?;
-        *slot = row;
+    trace.apis.extend(d.apis);
+    for (idx, row) in d.api_updates {
+        trace.apis[idx] = row;
     }
-    for row in get_arr(v, "accesses")? {
-        trace.accesses.push(parse_access(row)?);
-    }
-    for row in get_arr(v, "objects")? {
-        trace.objects.push(parse_object(row)?);
-    }
-    for row in get_arr(v, "object_updates")? {
-        let o = parse_object(row)?;
+    trace.accesses.extend(d.accesses);
+    trace.objects.extend(d.objects);
+    for o in d.object_updates {
         match trace.objects.iter_mut().find(|x| x.id == o.id) {
             Some(slot) => *slot = o,
             None => trace.objects.push(o),
         }
     }
-    for p in get_arr(v, "usage")? {
-        let (idx, bytes) = parse_pair(p, "usage sample")?;
-        trace.usage.push((
-            usize::try_from(idx).map_err(|_| "usage api_idx exceeds usize".to_owned())?,
-            bytes,
-        ));
-    }
+    trace.usage.extend(d.usage);
     Ok(())
-}
-
-fn parse_stream_checkpoint(
-    v: &Value,
-) -> Result<(usize, Vec<SavedIntra>, Vec<SavedUnifiedPage>), String> {
-    let api_count = usize::try_from(get_u64(v, "api_count")?)
-        .map_err(|_| "api_count exceeds usize".to_owned())?;
-    let intra = get_arr(v, "intra")?
-        .iter()
-        .map(parse_intra)
-        .collect::<Result<Vec<_>, _>>()?;
-    let unified = get_arr(v, "unified")?
-        .iter()
-        .map(parse_unified)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((api_count, intra, unified))
 }
 
 /// Recovers a streaming trace: replays every intact, fsynced frame in
@@ -1410,9 +1761,8 @@ fn parse_stream_checkpoint(
 /// `DRGPUM-STREAM` magic.
 fn salvage_stream(text: &str) -> (SavedTrace, SalvageReport) {
     let mut notes = Vec::new();
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let header_ok = read_line(bytes, &mut pos)
+    let header_ok = read_line(text.as_bytes(), &mut pos)
         .and_then(|line| std::str::from_utf8(line).ok())
         .map(|text| {
             let mut words = text.split_ascii_whitespace();
@@ -1434,39 +1784,63 @@ fn salvage_stream(text: &str) -> (SavedTrace, SalvageReport) {
     let mut trace = empty_trace();
     let mut clean_end = false;
     let mut deltas = 0usize;
-    let mut checkpoint: Option<(usize, Vec<SavedIntra>, Vec<SavedUnifiedPage>)> = None;
+    let mut checkpoint: Option<StreamCheckpoint> = None;
     loop {
-        match next_frame(bytes, &mut pos) {
+        let (name, p) = match next_frame(text, &mut pos) {
             Ok(FrameStep::End) => {
                 clean_end = true;
                 break;
             }
-            Ok(FrameStep::Section(name, value)) => match name.as_str() {
-                "meta" => match get_str(&value, "platform") {
-                    Ok(p) => trace.platform = p,
+            Ok(FrameStep::Section(name, p)) => (name, p),
+            Err(e) => {
+                notes.push(format!("stopped at damaged streaming frame: {e}"));
+                break;
+            }
+        };
+        // Each arm yields whether the replay stops here. A payload that is
+        // not JSON (the `Err`) is as damaged as one whose checksum fails.
+        let stop = match name.as_str() {
+            "meta" => split(decode(p, read_meta)).map(|meta| {
+                match meta {
+                    Ok(platform) => trace.platform = platform,
                     Err(_) => notes.push("platform name lost with the meta section".to_owned()),
-                },
-                "delta" => {
-                    deltas += 1;
-                    if let Err(reason) = apply_stream_delta(&mut trace, &value) {
+                }
+                false
+            }),
+            "delta" => split(decode(p, read_delta)).map(|delta| {
+                deltas += 1;
+                match delta.and_then(|d| apply_stream_delta(&mut trace, d)) {
+                    Ok(()) => false,
+                    Err(reason) => {
                         // Positional replay cannot continue past a bad
                         // delta: later rows would land at wrong indices.
                         notes.push(format!("stopped at undecodable delta: {reason}"));
-                        break;
+                        true
                     }
                 }
-                "checkpoint" => match parse_stream_checkpoint(&value) {
-                    Ok(cp) if cp.0 <= trace.apis.len() => checkpoint = Some(cp),
+            }),
+            "checkpoint" => split(decode(p, read_checkpoint)).map(|cp| {
+                match cp {
+                    Ok(cp) if cp.api_count <= trace.apis.len() => checkpoint = Some(cp),
                     Ok(cp) => notes.push(format!(
                         "ignored checkpoint claiming {} APIs (only {} replayed)",
-                        cp.0,
+                        cp.api_count,
                         trace.apis.len()
                     )),
                     Err(reason) => notes.push(format!("dropped undecodable checkpoint: {reason}")),
-                },
-                other => notes.push(format!("ignored unknown streaming section `{other}`")),
-            },
+                }
+                false
+            }),
+            other => check_json(p).map(|()| {
+                notes.push(format!("ignored unknown streaming section `{other}`"));
+                false
+            }),
+        };
+        match stop {
+            Ok(false) => {}
+            Ok(true) => break,
             Err(e) => {
+                let e = DecodeError::Syntax(e).into_trace_error(&name);
                 notes.push(format!("stopped at damaged streaming frame: {e}"));
                 break;
             }
@@ -1481,16 +1855,17 @@ fn salvage_stream(text: &str) -> (SavedTrace, SalvageReport) {
         ));
     }
     match checkpoint {
-        Some((api_count, intra, unified)) => {
-            if api_count < trace.apis.len() {
+        Some(cp) => {
+            if cp.api_count < trace.apis.len() {
                 notes.push(format!(
                     "intra-object and unified-memory maps are as of the last \
-                     checkpoint (API {api_count} of {})",
+                     checkpoint (API {} of {})",
+                    cp.api_count,
                     trace.apis.len()
                 ));
             }
-            trace.intra = intra;
-            trace.unified = unified;
+            trace.intra = cp.intra;
+            trace.unified = cp.unified;
         }
         None if !trace.apis.is_empty() => {
             notes.push(
@@ -1517,44 +1892,23 @@ impl SavedTrace {
     /// Serializes to the framed, checksummed text format.
     pub fn to_text(&self) -> String {
         let mut out = format!("{MAGIC} {}\n", self.version);
-        let mut meta = Map::new();
-        meta.insert("platform".into(), self.platform.to_json());
-        write_section(&mut out, "meta", &Value::Object(meta));
-        write_section(
-            &mut out,
-            "apis",
-            &Value::Array(self.apis.iter().map(api_value).collect()),
-        );
-        write_section(
-            &mut out,
-            "accesses",
-            &Value::Array(self.accesses.iter().map(access_value).collect()),
-        );
-        write_section(
-            &mut out,
-            "objects",
-            &Value::Array(self.objects.iter().map(object_value).collect()),
-        );
-        write_section(
-            &mut out,
-            "usage",
-            &Value::Array(
-                self.usage
-                    .iter()
-                    .map(|&(idx, bytes)| Value::Array(vec![idx.to_json(), bytes.to_json()]))
-                    .collect(),
-            ),
-        );
-        write_section(
-            &mut out,
-            "intra",
-            &Value::Array(self.intra.iter().map(intra_value).collect()),
-        );
-        write_section(
-            &mut out,
-            "unified",
-            &Value::Array(self.unified.iter().map(unified_value).collect()),
-        );
+        write_section(&mut out, "meta", |out| write_meta(out, &self.platform));
+        write_section(&mut out, "apis", |out| {
+            write_list(out, &self.apis, write_api)
+        });
+        write_section(&mut out, "accesses", |out| {
+            write_list(out, &self.accesses, write_access)
+        });
+        write_section(&mut out, "objects", |out| {
+            write_list(out, &self.objects, write_object)
+        });
+        write_section(&mut out, "usage", |out| write_pairs(out, &self.usage));
+        write_section(&mut out, "intra", |out| {
+            write_list(out, &self.intra, write_intra)
+        });
+        write_section(&mut out, "unified", |out| {
+            write_list(out, &self.unified, write_unified)
+        });
         out.push_str("end\n");
         out
     }
@@ -1670,14 +2024,10 @@ impl SavedTrace {
                         (*idx, rs)
                     })
                     .collect();
-                let lifetime_freq = s.lifetime_elem_size.map(|elem| {
-                    let mut f = FreqMap::new(s.size, elem);
-                    for &(i, c) in &s.lifetime_counts {
-                        for _ in 0..c {
-                            f.record(i * u64::from(elem), 1);
-                        }
-                    }
-                    f
+                // A zero element width cannot index anything (and would not
+                // construct): such a map is dropped rather than trusted.
+                let lifetime_freq = s.lifetime_elem_size.filter(|&e| e > 0).map(|elem| {
+                    FreqMap::from_counts(s.size, elem, s.lifetime_counts.iter().copied())
                 });
                 IntraObjectData {
                     object: ObjectId(s.object),
@@ -1906,6 +2256,73 @@ mod tests {
                 assert!(reason.contains("9999"), "{reason}");
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_delta_with_a_dangling_update_applies_nothing() {
+        let (saved, _) = record();
+        let delta = |apis: &[SavedApi], api_updates| StreamDelta {
+            apis: apis.to_vec(),
+            api_updates,
+            accesses: Vec::new(),
+            objects: Vec::new(),
+            object_updates: Vec::new(),
+            usage: Vec::new(),
+        };
+        let mut text = stream_header("rtx3090");
+        let first = StreamDelta {
+            objects: saved.objects.clone(),
+            ..delta(&saved.apis[..2], Vec::new())
+        };
+        write_section(&mut text, "delta", |out| write_delta(out, &first));
+        // Its appended rows are fine, but the update names row 99.
+        let bad = delta(&saved.apis[2..], vec![(99, saved.apis[0].clone())]);
+        write_section(&mut text, "delta", |out| write_delta(out, &bad));
+        text.push_str("end\n");
+        let (trace, losses) = salvage(&text);
+        assert_eq!(trace.api_count(), 2, "{:?}", losses.notes);
+        assert!(
+            losses.notes[0].contains("api update index out of range"),
+            "{:?}",
+            losses.notes
+        );
+    }
+
+    /// The CRC-32 definition, one bit at a time: the reference the table
+    /// implementation is checked against.
+    fn bitwise_crc32(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_known_answer() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn table_crc32_matches_the_bitwise_definition() {
+        let mut rng = gpu_sim::SplitMix64::new(0xC3C3_2020);
+        let bytes: Vec<u8> = (0..4096 + 8).map(|_| rng.next_u64() as u8).collect();
+        for _ in 0..64 {
+            let len = rng.next_below(4097) as usize;
+            // Every start alignment, so the eight-byte steps begin anywhere.
+            for start in 0..8 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    bitwise_crc32(slice),
+                    "len {len} start {start}"
+                );
+            }
         }
     }
 
